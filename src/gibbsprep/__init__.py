@@ -2,7 +2,8 @@
 
 Exact statevector simulation of two ansatz-growth strategies that minimize
 the quadratic objective ``-Tr(T rho) + Tr(rho^2)/2`` for a normalized
-thermal target T, with analytic parameter-shift gradients throughout.
+thermal target T, with exact adjoint gradients checked against the
+parameter-shift rule.
 """
 
 from .adapt import (

@@ -26,12 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .models import GibbsTarget, HermitianOperator
-from .objective import (
-    ObjectiveContext,
-    candidate_gradient,
-    objective,
-    sum_generator_gradient,
-)
+from .objective import ObjectiveContext, objective
 from .simcore import (
     DensityMatrix,
     PauliString,
@@ -41,6 +36,7 @@ from .simcore import (
     partial_trace_ancilla,
     partial_trace_ancilla_raw,
     pauli_action_tables,
+    pauli_apply_raw,
     pauli_rotate_raw,
     pauli_rotation,
 )
@@ -103,6 +99,11 @@ class PoolOperator:
             cnot_cost=3 * n_data,
             label=ENTANGLER_LABEL,
         )
+
+    @property
+    def terms(self) -> tuple[tuple[float, PauliString], ...]:
+        """The generator as a sum ``sum_j c_j P_j`` of commuting Pauli words."""
+        return ((1.0, self.pauli),) if self.kind == "pauli" else self.operator.terms
 
 
 def build_vqe_pool(n_total_qubits: int) -> tuple[PoolOperator, ...]:
@@ -231,8 +232,8 @@ class Ansatz:
         if self.flavor in ("qaoa", "baseline"):
             if self.cost_operator is None:
                 raise ValueError(f"{self.flavor} ansatz needs a cost operator")
-            # Shift-rule gradients decompose the cost exponential term by
-            # term, which is only exact for mutually commuting terms.
+            # The shift-rule oracle splits the cost exponential term by term,
+            # which is only exact for mutually commuting terms.
             if not self.cost_operator.terms_commute():
                 raise ValueError(
                     "cost operator terms must mutually commute for layered ansatz"
@@ -269,161 +270,109 @@ class Ansatz:
         diag = op.diagonal()
         t = gamma / 2.0
         if diag is not None:
-            phases = np.exp(1j * t * diag)
-            return phases * amps if amps.ndim == 1 else phases[:, None] * amps
+            return np.exp(1j * t * diag) * amps
         values, vectors = op.eigensystem()
-        rotated = vectors.conj().T @ amps
-        phases = np.exp(1j * t * values)
-        rotated = phases * rotated if amps.ndim == 1 else phases[:, None] * rotated
+        rotated = np.exp(1j * t * values) * (vectors.conj().T @ amps)
         return vectors @ rotated
 
-    def _apply_mixer_raw(
-        self, amps: np.ndarray, op: PoolOperator, alpha: float
-    ) -> np.ndarray:
-        if op.kind == "pauli":
-            src, ph = self._tables(op.pauli)
-            return pauli_rotate_raw(amps, src, ph, alpha)
-        # Commuting sum: the exponential factorizes into per-term rotations.
-        for c, p in op.operator.terms:
-            src, ph = self._tables(p)
-            amps = pauli_rotate_raw(amps, src, ph, alpha * c)
-        return amps
-
-    def _apply_layers_raw(
-        self, amps: np.ndarray, params: np.ndarray, start: int
-    ) -> np.ndarray:
-        if self.flavor == "vqe":
-            for k in range(start, self.n_layers):
-                src, ph = self._tables(self.generators[k].pauli)
-                amps = pauli_rotate_raw(amps, src, ph, params[k])
-            return amps
-        for k in range(start, self.n_layers):
-            amps = self._apply_cost_raw(amps, params[2 * k])
-            amps = self._apply_mixer_raw(amps, self.generators[k], params[2 * k + 1])
-        return amps
+    def _cost_inner(self, psi: np.ndarray, lam: np.ndarray) -> complex:
+        """<lam| (H_A + H_D) |psi>."""
+        op = self.cost_operator
+        diag = op.diagonal()
+        if diag is not None:
+            return np.vdot(lam, diag * psi)
+        values, vectors = op.eigensystem()
+        return np.vdot(vectors.conj().T @ lam, values * (vectors.conj().T @ psi))
 
     def _build_raw(self, params: np.ndarray) -> np.ndarray:
-        return self._apply_layers_raw(self.reference.amplitudes, params, 0)
+        amps = self.reference.amplitudes
+        if self.flavor == "vqe":
+            for op, theta in zip(self.generators, params):
+                amps = pauli_rotate_raw(amps, *self._tables(op.pauli), theta)
+            return amps
+        for k, op in enumerate(self.generators):
+            amps = self._apply_cost_raw(amps, params[2 * k])
+            # Commuting sum: the exponential factorizes into per-term rotations.
+            for c, p in op.terms:
+                alpha = params[2 * k + 1] * c
+                amps = pauli_rotate_raw(amps, *self._tables(p), alpha)
+        return amps
 
 
-def _data_expectation(amps: np.ndarray, w: np.ndarray, n_data: int) -> float:
-    """<psi| (W x 1_A) |psi> for a Hermitian data-register matrix W."""
-    block = amps.reshape(-1, 1 << n_data)
-    return float(((block @ w.T) * block.conj()).sum().real)
+def _objective_raw(rho: np.ndarray, ctx: ObjectiveContext) -> float:
+    cross = np.einsum("ij,ji->", ctx.target.matrix, rho).real
+    return float(-cross + 0.5 * np.vdot(rho, rho).real)
 
 
-def _data_expectations(batch: np.ndarray, w: np.ndarray, n_data: int) -> np.ndarray:
-    """Column-wise <psi|(W x 1_A)|psi> for a (dim, cols) batch of states."""
-    d_data = 1 << n_data
-    block = batch.reshape(-1, d_data, batch.shape[1])  # (ancilla, data, cols)
-    tw = np.tensordot(w, block, axes=([1], [1]))  # (data, ancilla, cols)
-    return np.einsum("aic,iac->c", block.conj(), tw).real
+def _value_and_costate(
+    amps: np.ndarray, ctx: ObjectiveContext, n_ancilla: int
+) -> tuple[float, np.ndarray]:
+    """C at ``amps`` and the costate ``lam = ((rho - T) x 1_A) psi``.
+
+    ``dC = 2 Re<lam|d psi>``, so a gate ``exp(i theta G)`` whose output is
+    ``psi`` contributes ``dC/dtheta = -2 Im<lam|G psi>``.
+    """
+    rho = partial_trace_ancilla_raw(amps, ctx.n_data, n_ancilla)
+    w = rho - ctx.target.matrix
+    block = amps.reshape(1 << n_ancilla, 1 << ctx.n_data)
+    return _objective_raw(rho, ctx), (block @ w.T).reshape(-1)
+
+
+def _unrotate(
+    psi: np.ndarray, lam: np.ndarray, tables, theta: float
+) -> tuple[complex, np.ndarray, np.ndarray]:
+    """<lam|P psi>, then ``exp(-i theta P)`` un-applied from psi and lam."""
+    p_psi = pauli_apply_raw(psi, *tables)
+    p_lam = pauli_apply_raw(lam, *tables)
+    cos_t, i_sin_t = np.cos(theta), 1j * np.sin(theta)
+    return (
+        np.vdot(lam, p_psi),
+        cos_t * psi - i_sin_t * p_psi,
+        cos_t * lam - i_sin_t * p_lam,
+    )
 
 
 def ansatz_objective(ansatz: Ansatz, params: np.ndarray, ctx: ObjectiveContext) -> float:
     rho = partial_trace_ancilla_raw(
         ansatz._build_raw(np.asarray(params, float)), ansatz.n_data, ansatz.n_ancilla
     )
-    cross = np.einsum("ij,ji->", ctx.target.matrix, rho).real
-    return float(-cross + 0.5 * np.vdot(rho, rho).real)
+    return _objective_raw(rho, ctx)
 
 
 def ansatz_value_and_gradient(
     ansatz: Ansatz, params: np.ndarray, ctx: ObjectiveContext
 ) -> tuple[float, np.ndarray]:
-    """Objective and its full shift-rule gradient at ``params``.
+    """Objective and its exact gradient at ``params`` by one reverse pass.
 
-    Every partial derivative is the exact two-point shift
-    ``aux(theta + pi/4 e, theta) - aux(theta - pi/4 e, theta)``; parameters
-    whose generator is a commuting Pauli sum (cost layers, the entangler
-    mixer) are decomposed term by term, with the extra +-pi/4 rotation
-    commuted to just after the layer it shifts. All shifted states are
-    carried through one batched sweep over the remaining layers, so the
-    full gradient costs one pass per layer instead of one per parameter.
+    Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): after the
+    forward build, the final state ``psi`` and the costate
+    ``lam = ((rho - T) x 1_A) psi`` are walked back through the layers
+    together. At each gate ``exp(i theta G)`` the partial derivative is
+    ``-2 Im<lam|G psi>``, read before the gate is un-applied from both.
+    Cost layers (generator ``(H_A + H_D)/2``) and the entangler mixer
+    (a commuting Pauli sum) need no decomposition. The result equals the
+    parameter-shift rule of :mod:`gibbsprep.objective`, which the tests and
+    ``gradcheck`` use as the oracle.
     """
     params = np.asarray(params, dtype=np.float64)
-    n_data = ansatz.n_data
-    dim = ansatz.reference.dim
+    psi = ansatz._build_raw(params)
+    value, lam = _value_and_costate(psi, ctx, ansatz.n_ancilla)
+    grad = np.zeros(ansatz.parameter_count)
     if ansatz.flavor == "vqe":
-        n = ansatz.n_layers
-        tables = [ansatz._tables(op.pauli) for op in ansatz.generators]
-        amps = ansatz.reference.amplitudes
-        shifted = np.empty((dim, 2 * n), dtype=np.complex128)
-        filled = 0
-        for k in range(n):
-            src, ph = tables[k]
-            if filled:
-                shifted[:, :filled] = pauli_rotate_raw(
-                    shifted[:, :filled], src, ph, params[k]
-                )
-            amps = pauli_rotate_raw(amps, src, ph, params[k])
-            shifted[:, filled] = pauli_rotate_raw(amps, src, ph, np.pi / 4)
-            shifted[:, filled + 1] = pauli_rotate_raw(amps, src, ph, -np.pi / 4)
-            filled += 2
-        rho = partial_trace_ancilla_raw(amps, n_data, ansatz.n_ancilla)
-        value = float(
-            -np.einsum("ij,ji->", ctx.target.matrix, rho).real
-            + 0.5 * np.vdot(rho, rho).real
-        )
-        if n == 0:
-            return value, np.zeros(0)
-        w = rho - ctx.target.matrix
-        expectations = _data_expectations(shifted, w, n_data)
-        return value, expectations[0::2] - expectations[1::2]
-
-    # qaoa / baseline: columns are per-term shifts; bookkeeping maps the
-    # expectation differences back onto the gamma/alpha parameters.
-    n = ansatz.n_layers
-    cost_terms = ansatz.cost_operator.terms
-    mixer_terms = [
-        ((1.0, op.pauli),) if op.kind == "pauli" else op.operator.terms
-        for op in ansatz.generators
-    ]
-    total_cols = sum(
-        2 * (len(cost_terms) + len(terms)) for terms in mixer_terms
-    )
-    shifted = np.empty((dim, total_cols), dtype=np.complex128)
-    weights: list[tuple[int, float]] = []  # (parameter index, coefficient)
-    amps = ansatz.reference.amplitudes
-    filled = 0
-    for k in range(n):
-        gamma, alpha = params[2 * k], params[2 * k + 1]
-        if filled:
-            shifted[:, :filled] = ansatz._apply_cost_raw(
-                shifted[:, :filled], gamma
-            )
-        amps = ansatz._apply_cost_raw(amps, gamma)
-        for c, p in cost_terms:
-            src, ph = ansatz._tables(p)
-            shifted[:, filled] = pauli_rotate_raw(amps, src, ph, np.pi / 4)
-            shifted[:, filled + 1] = pauli_rotate_raw(amps, src, ph, -np.pi / 4)
-            weights.append((2 * k, c / 2.0))
-            filled += 2
-        mixer = ansatz.generators[k]
-        if filled:
-            shifted[:, :filled] = ansatz._apply_mixer_raw(
-                shifted[:, :filled], mixer, alpha
-            )
-        amps = ansatz._apply_mixer_raw(amps, mixer, alpha)
-        for c, p in mixer_terms[k]:
-            src, ph = ansatz._tables(p)
-            shifted[:, filled] = pauli_rotate_raw(amps, src, ph, np.pi / 4)
-            shifted[:, filled + 1] = pauli_rotate_raw(amps, src, ph, -np.pi / 4)
-            weights.append((2 * k + 1, c))
-            filled += 2
-    rho = partial_trace_ancilla_raw(amps, n_data, ansatz.n_ancilla)
-    value = float(
-        -np.einsum("ij,ji->", ctx.target.matrix, rho).real
-        + 0.5 * np.vdot(rho, rho).real
-    )
-    grad = np.zeros(2 * n)
-    if n == 0:
+        for k in reversed(range(ansatz.n_layers)):
+            tables = ansatz._tables(ansatz.generators[k].pauli)
+            inner, psi, lam = _unrotate(psi, lam, tables, params[k])
+            grad[k] = -2.0 * inner.imag
         return value, grad
-    w = rho - ctx.target.matrix
-    expectations = _data_expectations(shifted, w, n_data)
-    differences = expectations[0::2] - expectations[1::2]
-    for (index, coefficient), diff in zip(weights, differences):
-        grad[index] += coefficient * diff
+    for k in reversed(range(ansatz.n_layers)):
+        gamma, alpha = params[2 * k], params[2 * k + 1]
+        # The mixer's terms commute, so they can be un-applied in any order.
+        for c, p in ansatz.generators[k].terms:
+            inner, psi, lam = _unrotate(psi, lam, ansatz._tables(p), alpha * c)
+            grad[2 * k + 1] -= 2.0 * c * inner.imag
+        grad[2 * k] = -ansatz._cost_inner(psi, lam).imag
+        psi = ansatz._apply_cost_raw(psi, -gamma)
+        lam = ansatz._apply_cost_raw(lam, -gamma)
     return value, grad
 
 
@@ -439,7 +388,7 @@ class FixedAnsatzResult:
 def optimize_fixed_ansatz(
     ansatz: Ansatz, ctx: ObjectiveContext, init: np.ndarray
 ) -> FixedAnsatzResult:
-    """BFGS on exact shift-rule gradients; deterministic given ``init``.
+    """BFGS on exact adjoint gradients; deterministic given ``init``.
 
     Never returns a point worse than ``init``. Non-finite objective or
     gradient values abort the run with :class:`NumericalFailure`.
@@ -450,25 +399,21 @@ def optimize_fixed_ansatz(
             f"init has {init.shape}, ansatz expects {ansatz.parameter_count}"
         )
 
-    def fun(x: np.ndarray) -> float:
-        value = ansatz_objective(ansatz, x, ctx)
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = ansatz_value_and_gradient(ansatz, x, ctx)
         if not np.isfinite(value):
             raise NumericalFailure("non-finite objective during optimization")
-        return value
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        _, grad = ansatz_value_and_gradient(ansatz, x, ctx)
         if not np.all(np.isfinite(grad)):
             raise NumericalFailure("non-finite gradient during optimization")
-        return grad
+        return value, grad
 
-    f0, g0 = fun(init), jac(init)
+    f0, g0 = fun(init)
     if init.size == 0:
         return FixedAnsatzResult(init, f0, 0.0, 0, True)
     result = minimize(
         fun,
         init,
-        jac=jac,
+        jac=True,
         method="BFGS",
         options={"gtol": GRADIENT_TOLERANCE, "maxiter": MAX_OPTIMIZER_ITERATIONS},
     )
@@ -617,30 +562,19 @@ def _pool_scan(
 ) -> np.ndarray:
     """Candidate gradient of every pool operator at ``state``.
 
-    Batched evaluation of the same quantity :func:`candidate_gradient` /
-    :func:`sum_generator_gradient` compute one at a time (their equality is
-    pinned by tests): columns hold the +-pi/4 rotated states, and the
-    expectation of ``rho(state) - T`` in each column gives the shifts.
+    Appending ``exp(i theta G)`` at theta = 0 gives ``-2 Im<lam|G psi>``
+    with one costate ``lam`` for the whole pool; this is the quantity
+    :func:`candidate_gradient` / :func:`sum_generator_gradient` compute
+    with the shift rule (their equality is pinned by tests).
     """
-    base = state.amplitudes
-    rho = partial_trace_ancilla_raw(base, state.n_data, state.n_ancilla)
-    w = rho - ctx.target.matrix
-    terms: list[tuple[int, float, PauliString]] = []
-    for j, op in enumerate(pool):
-        if op.kind == "pauli":
-            terms.append((j, 1.0, op.pauli))
-        else:
-            terms.extend((j, c, p) for c, p in op.operator.terms)
-    shifted = np.empty((state.dim, 2 * len(terms)), dtype=np.complex128)
-    for col, (_, _, p) in enumerate(terms):
-        src, ph = pauli_action_tables(state.n_total, p.support, p.letters)
-        shifted[:, 2 * col] = pauli_rotate_raw(base, src, ph, np.pi / 4)
-        shifted[:, 2 * col + 1] = pauli_rotate_raw(base, src, ph, -np.pi / 4)
-    expectations = _data_expectations(shifted, w, state.n_data)
-    differences = expectations[0::2] - expectations[1::2]
+    psi = state.amplitudes
+    _, lam = _value_and_costate(psi, ctx, state.n_ancilla)
     gradients = np.zeros(len(pool))
-    for (j, c, _), diff in zip(terms, differences):
-        gradients[j] += c * diff
+    for j, op in enumerate(pool):
+        for c, p in op.terms:
+            tables = pauli_action_tables(state.n_total, p.support, p.letters)
+            inner = np.vdot(lam, pauli_apply_raw(psi, *tables))
+            gradients[j] -= 2.0 * c * inner.imag
     return gradients
 
 

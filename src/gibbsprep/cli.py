@@ -2,7 +2,8 @@
 
 Subcommands ``vqe-gibbs``, ``qaoa-gibbs`` and ``baseline`` run a sweep with
 the algorithm pinned; ``sweep`` takes the algorithm from the config;
-``gradcheck`` self-checks the shift-rule gradients; ``plotdata`` converts a
+``gradcheck`` checks the shift rule against finite differences and the
+adjoint gradient engine against the shift rule; ``plotdata`` converts a
 results CSV into per-curve series files.
 
 Every config-file key can be overridden by a flag of the same name. Exit
@@ -71,7 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_sweep_arguments(p, with_algorithm=algorithm is None)
         p.set_defaults(command_kind="sweep", forced_algorithm=algorithm)
 
-    g = sub.add_parser("gradcheck", help="shift rule vs finite differences")
+    g = sub.add_parser(
+        "gradcheck", help="shift rule vs finite differences, adjoint vs shift rule"
+    )
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--trials", type=int, default=100)
     g.set_defaults(command_kind="gradcheck")

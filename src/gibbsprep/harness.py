@@ -36,6 +36,7 @@ from .adapt import (
     VqeSettings,
     adapt_qaoa_run,
     adapt_vqe_run,
+    ansatz_value_and_gradient,
     baseline_qaoa_run,
     build_qaoa_pool,
     build_vqe_pool,
@@ -81,7 +82,9 @@ CSV_COLUMNS = (
     "wall_ms",
 )
 
-GRADCHECK_THRESHOLD = 1e-6
+GRADCHECK_THRESHOLD = 1e-6  # shift rule vs central differences
+GRADCHECK_ENGINE_THRESHOLD = 1e-12  # adjoint engine vs shift rule
+GRADCHECK_LAYERED_PERIOD = 4
 
 
 class ConfigError(ValueError):
@@ -412,6 +415,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
         for beta_index in range(len(config.beta_inv_list))
     ]
     records: list[ResultRecord] = []
+    executor = None
     try:
         if config.workers == 1 or len(cells) == 1:
             results = map(_cell_job, cells)
@@ -430,9 +434,10 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
                         / f"{payload['run_id']}.r{payload['restart_index']}.json"
                     )
                     trace_path.write_text(json.dumps(payload, indent=1))
-        if config.workers > 1 and len(cells) > 1:
-            executor.shutdown()
     finally:
+        if executor is not None:
+            # On an error, queued cells are dropped instead of run to the end.
+            executor.shutdown(cancel_futures=True)
         if writer is not None:
             writer.close()
     return records
@@ -484,45 +489,93 @@ def replay_state(trace: dict, n_data: int, n_ancilla: int) -> StateVector:
 @dataclass
 class GradcheckTrial:
     trial: int
+    flavor: str
     worst_index: int
-    deviation: float
+    deviation: float  # max |shift rule - central difference|
+    engine_deviation: float  # max |adjoint engine - shift rule|
 
 
 @dataclass
 class GradcheckReport:
     trials: int
     threshold: float
+    engine_threshold: float
     max_deviation: float
+    max_engine_deviation: float
     entries: list[GradcheckTrial]
     passed: bool
 
     def lines(self) -> list[str]:
         out = [
-            f"gradcheck: {self.trials} trials, threshold {self.threshold:g}",
+            f"gradcheck: {self.trials} trials, threshold {self.threshold:g}"
+            f" (shift vs fd), {self.engine_threshold:g} (adjoint vs shift)",
         ]
         for e in self.entries:
             out.append(
-                f"  trial {e.trial:3d}: worst index {e.worst_index}"
+                f"  trial {e.trial:3d} {e.flavor:4s}: worst index {e.worst_index}"
                 f"  |shift - fd| = {e.deviation:.3e}"
+                f"  |adjoint - shift| = {e.engine_deviation:.3e}"
             )
         out.append(
             f"gradcheck {'PASS' if self.passed else 'FAIL'}:"
-            f" max deviation {self.max_deviation:.3e}"
+            f" max deviation {self.max_deviation:.3e},"
+            f" max adjoint deviation {self.max_engine_deviation:.3e}"
         )
         return out
 
 
-def gradcheck(seed: int, trials: int) -> GradcheckReport:
-    """Shift-rule vs central finite difference on random 2+2-qubit ansaetze.
+def _shift_rule_gradient(
+    ansatz: Ansatz, params: np.ndarray, ctx: ObjectiveContext
+) -> np.ndarray:
+    """Full gradient from the two-point shift rule, one Pauli word at a time.
 
-    Trial 0 uses all-zero parameters; later trials draw everything (model,
-    temperature, truncation, generators, parameters) from the seeded stream.
+    The ansatz is unrolled into single-word rotations (layered cost and mixer
+    generators are commuting Pauli sums), and the chain rule maps each word's
+    derivative back onto its parameter.
+    """
+    words, owners, scales = [], [], []
+    for k, op in enumerate(ansatz.generators):
+        if ansatz.flavor == "vqe":
+            layer = [(k, 1.0, op.terms)]
+        else:
+            cost = ansatz.cost_operator.terms
+            layer = [(2 * k, 0.5, cost), (2 * k + 1, 1.0, op.terms)]
+        for index, scale, terms in layer:
+            for c, p in terms:
+                words.append(PoolOperator.from_pauli(p))
+                owners.append(index)
+                scales.append(scale * c)
+    unrolled = Ansatz(
+        flavor="vqe",
+        n_data=ansatz.n_data,
+        n_ancilla=ansatz.n_ancilla,
+        reference=ansatz.reference,
+        reference_spec=ansatz.reference_spec,
+        generators=words,
+    )
+    angles = params[owners] * scales
+    weighted = [
+        scale * shift_gradient(unrolled.prepare, i, angles, ctx)
+        for i, scale in enumerate(scales)
+    ]
+    return np.bincount(owners, weights=weighted, minlength=params.size)
+
+
+def gradcheck(seed: int, trials: int) -> GradcheckReport:
+    """Shift rule vs central differences, and the adjoint engine vs the shift rule.
+
+    Every trial is a random 2+2-qubit ansatz: ``vqe``, except that every
+    ``GRADCHECK_LAYERED_PERIOD``-th trial is a ``qaoa`` ansatz whose first
+    mixer is the pair entangler. Trial 0 uses all-zero parameters; later
+    trials draw everything (model, temperature, truncation, generators,
+    parameters) from the seeded stream. PASS needs both deviations below
+    their thresholds on every trial.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     pool = build_vqe_pool(4)
+    qaoa_pool = build_qaoa_pool(2, entangling_hamiltonian(2))
     entries: list[GradcheckTrial] = []
-    max_deviation = 0.0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         model = MODEL_BUILDERS["ising" if rng.integers(2) else "xy"](2)
@@ -532,48 +585,72 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
         else:
             target = gibbs_state(model, beta)
         ctx = ObjectiveContext(target, 2, 2)
-        reference = reference_from_angles(
-            2, 2, rng.uniform(0, 2 * np.pi, size=4)
-        )
-        n_layers = int(rng.integers(2, 6))
-        chosen = [pool[int(i)] for i in rng.integers(0, len(pool), n_layers)]
-        params = (
-            np.zeros(n_layers)
-            if trial == 0
-            else rng.uniform(-np.pi, np.pi, n_layers)
-        )
-        ansatz = Ansatz(
-            flavor="vqe",
-            n_data=2,
-            n_ancilla=2,
-            reference=reference,
-            reference_spec={"kind": "random_y"},
-            generators=list(chosen),
-            parameters=params,
-        )
+        if trial % GRADCHECK_LAYERED_PERIOD == GRADCHECK_LAYERED_PERIOD - 1:
+            n_layers = int(rng.integers(1, 4))
+            drawn = rng.integers(0, len(qaoa_pool), n_layers - 1)
+            ansatz = Ansatz(
+                flavor="qaoa",
+                n_data=2,
+                n_ancilla=2,
+                reference=singlet_reference_state(2),
+                reference_spec={"kind": "singlet"},
+                generators=[qaoa_pool[-1]] + [qaoa_pool[int(i)] for i in drawn],
+                cost_operator=joint_problem_hamiltonian(model),
+            )
+            params = rng.uniform(-np.pi, np.pi, 2 * n_layers)
+        else:
+            reference = reference_from_angles(2, 2, rng.uniform(0, 2 * np.pi, size=4))
+            n_layers = int(rng.integers(2, 6))
+            chosen = [pool[int(i)] for i in rng.integers(0, len(pool), n_layers)]
+            params = (
+                np.zeros(n_layers)
+                if trial == 0
+                else rng.uniform(-np.pi, np.pi, n_layers)
+            )
+            ansatz = Ansatz(
+                flavor="vqe",
+                n_data=2,
+                n_ancilla=2,
+                reference=reference,
+                reference_spec={"kind": "random_y"},
+                generators=chosen,
+            )
 
         def value_at(x: np.ndarray) -> float:
             return objective(partial_trace_ancilla(ansatz.prepare(x)), ctx)
 
-        worst_index, worst = 0, 0.0
+        exact = _shift_rule_gradient(ansatz, params, ctx)
         h = 1e-5
-        for index in range(n_layers):
-            exact = shift_gradient(ansatz.prepare, index, params, ctx)
+        deviations = np.zeros(params.size)
+        for index in range(params.size):
             plus, minus = params.copy(), params.copy()
             plus[index] += h
             minus[index] -= h
             approx = (value_at(plus) - value_at(minus)) / (2 * h)
-            deviation = abs(exact - approx)
-            if deviation > worst:
-                worst_index, worst = index, deviation
-        entries.append(GradcheckTrial(trial, worst_index, worst))
-        max_deviation = max(max_deviation, worst)
+            deviations[index] = abs(exact[index] - approx)
+        _, adjoint = ansatz_value_and_gradient(ansatz, params, ctx)
+        entries.append(
+            GradcheckTrial(
+                trial,
+                ansatz.flavor,
+                int(np.argmax(deviations)),
+                float(deviations.max()),
+                float(np.abs(adjoint - exact).max()),
+            )
+        )
+    max_deviation = max(e.deviation for e in entries)
+    max_engine_deviation = max(e.engine_deviation for e in entries)
     return GradcheckReport(
         trials=trials,
         threshold=GRADCHECK_THRESHOLD,
+        engine_threshold=GRADCHECK_ENGINE_THRESHOLD,
         max_deviation=max_deviation,
+        max_engine_deviation=max_engine_deviation,
         entries=entries,
-        passed=bool(max_deviation < GRADCHECK_THRESHOLD),
+        passed=bool(
+            max_deviation < GRADCHECK_THRESHOLD
+            and max_engine_deviation < GRADCHECK_ENGINE_THRESHOLD
+        ),
     )
 
 

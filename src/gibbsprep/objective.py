@@ -5,12 +5,18 @@ operator T. With an exact thermal target it equals
 ``||rho - T||_F^2 / 2 - Tr(T^2)/2``, so its unique minimizer is T itself; with
 a truncated surrogate the same quadratic form is optimized as-is.
 
-Gradients use the parameter-shift identity through the auxiliary function
-``aux(theta, phi) = -Tr(T rho(theta)) + Tr(rho(theta) rho(phi))``: for a
-parameter whose generator is i*P with P a Pauli word (two eigenvalues, +-1,
-hence shift radius pi/4), the derivative of C at theta equals
+The gradients here use the parameter-shift identity through the auxiliary
+function ``aux(theta, phi) = -Tr(T rho(theta)) + Tr(rho(theta) rho(phi))``:
+for a parameter whose generator is i*P with P a Pauli word (two eigenvalues,
++-1, hence shift radius pi/4), the derivative of C at theta equals
 ``aux(theta + pi/4, theta) - aux(theta - pi/4, theta)``.  The rule is exact
-for such generators, not a finite-difference approximation.
+for such generators, not a finite-difference approximation, and it is the
+rule a quantum device can measure.
+
+The optimizer and the pool scan do not use these functions: they take the
+adjoint (reverse-pass) gradient of :func:`gibbsprep.adapt.ansatz_value_and_gradient`,
+which costs one pass over the layers. The shift rule is kept as the oracle
+that the tests and ``gibbsprep gradcheck`` compare the adjoint engine with.
 """
 
 from __future__ import annotations

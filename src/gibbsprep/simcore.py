@@ -122,50 +122,15 @@ def pauli_action_tables(n_qubits: int, support: tuple[int, ...], letters: str):
 
 
 def pauli_apply_raw(amplitudes: np.ndarray, source: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """P @ amplitudes for raw arrays; last tabled axis may carry extra columns."""
-    if amplitudes.ndim == 1:
-        return phase * amplitudes[source]
-    return phase[:, None] * amplitudes[source, :]
+    """P @ amplitudes for a raw amplitude vector."""
+    return phase * amplitudes[source]
 
 
-def _rotate_numpy(amplitudes, source, phase, theta):
+def pauli_rotate_raw(amplitudes, source, phase, theta):
+    """exp(i theta P) @ amplitudes = cos(theta)*psi + i sin(theta)*(P psi)."""
     return np.cos(theta) * amplitudes + (1j * np.sin(theta)) * pauli_apply_raw(
         amplitudes, source, phase
     )
-
-
-try:  # fused kernels: one gather pass instead of several temporaries
-    import numba
-
-    @numba.njit(cache=True, fastmath=False)
-    def _rotate_jit_1d(amplitudes, source, phase, cos_t, i_sin_t):
-        out = np.empty_like(amplitudes)
-        for i in range(amplitudes.shape[0]):
-            out[i] = cos_t * amplitudes[i] + i_sin_t * (
-                phase[i] * amplitudes[source[i]]
-            )
-        return out
-
-    @numba.njit(cache=True, fastmath=False)
-    def _rotate_jit_2d(amplitudes, source, phase, cos_t, i_sin_t):
-        out = np.empty_like(amplitudes)
-        for i in range(amplitudes.shape[0]):
-            s = source[i]
-            p = i_sin_t * phase[i]
-            for j in range(amplitudes.shape[1]):
-                out[i, j] = cos_t * amplitudes[i, j] + p * amplitudes[s, j]
-        return out
-
-    def pauli_rotate_raw(amplitudes, source, phase, theta):
-        """exp(i theta P) @ amplitudes = cos(theta)*psi + i sin(theta)*(P psi)."""
-        cos_t = complex(np.cos(theta))
-        i_sin_t = 1j * np.sin(theta)
-        if amplitudes.ndim == 1:
-            return _rotate_jit_1d(amplitudes, source, phase, cos_t, i_sin_t)
-        return _rotate_jit_2d(amplitudes, source, phase, cos_t, i_sin_t)
-
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    pauli_rotate_raw = _rotate_numpy
 
 
 @dataclass(frozen=True)
@@ -323,7 +288,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Eigenvalues of either argument in ``[-1e-9, 0)`` are clamped to zero;
     anything below that raises, since it signals a bug upstream rather than
-    partial-trace rounding.
+    partial-trace rounding. Eigenvalues of ``sqrt(sigma) rho sqrt(sigma)``
+    below ``dim * eps * max`` (the ``matrix_rank`` cutoff) are dropped.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -337,8 +303,11 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         sig_vectors.conj().T
     )
     inner = sqrt_sigma @ rho.entries @ sqrt_sigma
-    roots = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None))
-    return float(roots.sum() ** 2)
+    values = np.linalg.eigvalsh(inner)
+    # Eigenvalues under the numerical-rank cutoff are rounding noise; their
+    # square roots (~1e-9 each) would push F(rho, rho) above 1.
+    cutoff = inner.shape[0] * np.finfo(np.float64).eps * max(values[-1], 0.0)
+    return float(np.sqrt(values[values > cutoff]).sum() ** 2)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

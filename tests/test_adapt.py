@@ -228,6 +228,93 @@ class TestAnsatzGradients:
         assert np.array_equal(before.amplitudes, after.amplitudes)
 
 
+def central_difference(ansatz, params, ctx, h=1e-5):
+    def value_at(x):
+        return objective(partial_trace_ancilla(ansatz.prepare(x)), ctx)
+
+    grad = np.zeros(params.size)
+    for i in range(params.size):
+        plus, minus = params.copy(), params.copy()
+        plus[i] += h
+        minus[i] -= h
+        grad[i] = (value_at(plus) - value_at(minus)) / (2 * h)
+    return grad
+
+
+def layered_ansatz(flavor, n, h_data, generators, params):
+    return Ansatz(
+        flavor=flavor,
+        n_data=n,
+        n_ancilla=n,
+        reference=singlet_reference_state(n),
+        reference_spec={"kind": "singlet"},
+        generators=list(generators),
+        parameters=params,
+        cost_operator=joint_problem_hamiltonian(h_data),
+    )
+
+
+def weighted_entangler(n):
+    """The pair entangler with distinct non-unit weights on its terms."""
+    terms = entangling_hamiltonian(n).terms
+    weighted = tuple((0.5 + 0.25 * j, p) for j, (_, p) in enumerate(terms))
+    return PoolOperator.from_entangler(HermitianOperator(2 * n, weighted), n)
+
+
+class TestAdjointEngine:
+    """The reverse pass against the shift-rule oracle and central differences."""
+
+    def check(self, ansatz, params, ctx):
+        from gibbsprep.harness import _shift_rule_gradient
+
+        value, grad = ansatz_value_and_gradient(ansatz, params, ctx)
+        assert value == objective(partial_trace_ancilla(ansatz.prepare(params)), ctx)
+        assert np.abs(grad - _shift_rule_gradient(ansatz, params, ctx)).max() <= 1e-12
+        assert np.abs(grad - central_difference(ansatz, params, ctx)).max() < 1e-6
+
+    def test_baseline_flavor(self, rng):
+        n = 3
+        h_data = ising_hamiltonian(n)
+        ctx = ObjectiveContext(gibbs_state(h_data, 0.7), n, n)
+        entangler = build_qaoa_pool(n, entangling_hamiltonian(n))[-1]
+        params = rng.uniform(-np.pi, np.pi, 6)
+        ansatz = layered_ansatz("baseline", n, h_data, [entangler] * 3, params)
+        self.check(ansatz, params, ctx)
+
+    def test_qaoa_with_nondiagonal_commuting_cost(self, rng):
+        n = 3
+        xx_chain = HermitianOperator(
+            n, ((-1.0, PauliString((0, 1), "XX")), (-0.6, PauliString((1, 2), "XX")))
+        )
+        ctx = ObjectiveContext(gibbs_state(xx_chain, 1.3), n, n)
+        pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+        params = rng.uniform(-np.pi, np.pi, 6)
+        mixers = [pool[-1], pool[5], weighted_entangler(n)]
+        ansatz = layered_ansatz("qaoa", n, xx_chain, mixers, params)
+        assert ansatz.cost_operator.diagonal() is None
+        self.check(ansatz, params, ctx)
+
+    def test_hundred_layer_vqe(self, rng):
+        ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(3), 1.1), 3, 2)
+        pool = build_vqe_pool(5)
+        paulis = [pool[int(i)].pauli for i in rng.integers(0, len(pool), 100)]
+        params = rng.uniform(-np.pi, np.pi, 100)
+        self.check(make_vqe_ansatz(3, 2, paulis, params, rng), params, ctx)
+
+    def test_pool_scan_on_full_vqe_pool(self, rng):
+        from gibbsprep import candidate_gradient, sum_generator_gradient
+        from gibbsprep.adapt import _pool_scan
+
+        ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(4), 0.8), 4, 4)
+        state = random_state(4, 4, rng)
+        pool = build_vqe_pool(8)
+        weighted = weighted_entangler(4)
+        fast = _pool_scan(state, pool + (weighted,), ctx)
+        slow = [candidate_gradient(state, op.pauli, ctx) for op in pool]
+        slow.append(sum_generator_gradient(state, weighted.operator, ctx))
+        assert np.abs(fast - slow).max() <= 1e-12
+
+
 class TestPoolScan:
     def test_matches_public_candidate_gradients(self, rng):
         from gibbsprep import candidate_gradient, sum_generator_gradient

@@ -203,6 +203,24 @@ class TestRunSweep:
         for a, b in zip(seq, par):
             assert a.to_csv_row().rsplit(",", 1)[0] == b.to_csv_row().rsplit(",", 1)[0]
 
+    def test_failing_cell_tears_down_worker_pool(self, monkeypatch):
+        import multiprocessing
+
+        from gibbsprep import harness
+
+        real = harness._run_cell
+
+        def flaky(config, beta_index, n_ancilla):
+            if beta_index == 1:
+                raise NumericalFailure("injected cell failure")
+            return real(config, beta_index, n_ancilla)
+
+        monkeypatch.setattr(harness, "_run_cell", flaky)
+        config = tiny_config(beta_inv_list=(0.5, 1.0, 1.5, 2.0), workers=2)
+        with pytest.raises(NumericalFailure, match="injected"):
+            run_sweep(config)
+        assert multiprocessing.active_children() == []
+
     def test_fidelity_never_exceeds_bound(self, tmp_path):
         records = run_sweep(
             tiny_config(n_ancilla=(1, 2), beta_inv_list=(0.5, 2.0))
@@ -249,6 +267,27 @@ class TestGradcheck:
         lines = report.lines()
         assert any("worst index" in line for line in lines)
         assert lines[-1].startswith("gradcheck PASS")
+
+    def test_layered_trials_check_the_adjoint_engine(self):
+        report = gradcheck(seed=2, trials=8)
+        assert [e.flavor for e in report.entries].count("qaoa") == 2
+        assert report.passed
+        assert report.max_engine_deviation < 1e-12
+
+    def test_engine_mismatch_fails(self, monkeypatch):
+        from gibbsprep import harness
+
+        real = harness.ansatz_value_and_gradient
+
+        def skewed(ansatz, params, ctx):
+            value, grad = real(ansatz, params, ctx)
+            return value, grad + 1e-9
+
+        monkeypatch.setattr(harness, "ansatz_value_and_gradient", skewed)
+        report = gradcheck(seed=1, trials=2)
+        assert report.max_deviation < 1e-6
+        assert not report.passed
+        assert report.lines()[-1].startswith("gradcheck FAIL")
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):

@@ -126,21 +126,17 @@ class TestPauliRotation:
         after = partial_trace_ancilla(out).entries
         assert np.allclose(before, after, atol=1e-14)
 
-    def test_jit_kernel_matches_numpy_reference(self, rng):
-        from gibbsprep.simcore import _rotate_numpy, pauli_action_tables, pauli_rotate_raw
+    def test_rotate_raw_matches_dense_oracle(self, rng):
+        from gibbsprep.simcore import pauli_action_tables, pauli_rotate_raw
 
         src, ph = pauli_action_tables(4, (0, 2), "XY")
         theta = 0.613
         vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-        assert np.array_equal(
-            pauli_rotate_raw(vec, src, ph, theta), _rotate_numpy(vec, src, ph, theta)
+        dense = np.cos(theta) * np.eye(16) + 1j * np.sin(theta) * dense_pauli(
+            4, (0, 2), "XY"
         )
-        mat = rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5))
         assert np.allclose(
-            pauli_rotate_raw(mat, src, ph, theta),
-            _rotate_numpy(mat, src, ph, theta),
-            atol=1e-15,
-            rtol=0,
+            pauli_rotate_raw(vec, src, ph, theta), dense @ vec, atol=1e-14, rtol=0
         )
 
     def test_matches_hermitian_exponential(self, rng):
@@ -238,6 +234,12 @@ class TestMetrics:
 
         rho = random_density(4, rng)
         assert abs(fidelity(rho, rho) - 1.0) < 1e-9
+
+    def test_fidelity_self_never_exceeds_one_at_low_rank(self, rng):
+        # rank 2 in dimension 8: rounding-noise eigenvalues must not count
+        for _ in range(200):
+            rho = partial_trace_ancilla(random_state(3, 1, rng))
+            assert fidelity(rho, rho) <= 1.0 + 1e-12
 
     def test_fidelity_pure_states_overlap(self, rng):
         a = random_state(2, 0, rng)
