@@ -12,6 +12,11 @@ Two ansatz families are grown here:
   pool of data-ancilla Pauli words plus the pair entangler (``qaoa``) or
   fixed to the pair entangler (``baseline``). Layer k = 1 is applied first.
 
+After every growth step all parameters are re-optimized by BFGS (Nocedal &
+Wright, *Numerical Optimization*, 2nd ed., Alg. 6.1) with a strong-Wolfe
+line search (Algs. 3.5/3.6), fed by the exact value and gradient of one
+adjoint pass (:func:`ansatz_value_and_gradient`).
+
 Within one growth loop everything is deterministic given the seed; restarts
 and postselection provide the only randomness at the protocol level.
 """
@@ -19,11 +24,10 @@ and postselection provide the only randomness at the protocol level.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .models import GibbsTarget, HermitianOperator
 from .objective import ObjectiveContext, objective
@@ -43,6 +47,9 @@ from .simcore import (
 
 GRADIENT_TOLERANCE = 1e-8
 MAX_OPTIMIZER_ITERATIONS = 1000
+WOLFE_DECREASE = 1e-4  # c1: sufficient-decrease constant
+WOLFE_CURVATURE = 0.9  # c2: strong-curvature constant
+MAX_LINE_SEARCH_TRIALS = 10
 TIE_TOLERANCE = 1e-12
 STALL_IMPROVEMENT = 1e-12
 STALL_LIMIT = 3
@@ -381,8 +388,88 @@ class FixedAnsatzResult:
     parameters: np.ndarray
     objective: float
     gradient_norm: float  # infinity norm at the returned parameters
-    iterations: int
+    iterations: int  # accepted BFGS steps
     converged: bool
+    evaluations: int  # value+gradient calls, the one at ``init`` included
+
+
+ValueAndGradient = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+
+def _line_search(
+    fun: ValueAndGradient, x: np.ndarray, f0: float, g0: np.ndarray,
+    p: np.ndarray, alpha: float,
+) -> tuple[float, float, np.ndarray] | None:
+    """A step ``alpha`` along ``p`` meeting the strong Wolfe conditions, or None.
+
+    Nocedal & Wright Algs. 3.5 and 3.6 as one loop of at most
+    ``MAX_LINE_SEARCH_TRIALS`` evaluations. ``lo`` is the best step so far
+    with sufficient decrease. Until a bracket ``[lo, hi]`` is found the
+    trial step doubles. After that, the zoom takes the minimizer of the
+    quadratic through ``f(lo)``, ``f'(lo)`` and ``f(hi)``, and bisects when
+    that point is not well inside the bracket.
+    """
+    d0 = g0 @ p
+    lo, hi = (0.0, f0, d0), None
+    for _ in range(MAX_LINE_SEARCH_TRIALS):
+        f, g = fun(x + alpha * p)
+        d = g @ p
+        decrease = f <= f0 + WOLFE_DECREASE * alpha * d0
+        if decrease and abs(d) <= -WOLFE_CURVATURE * d0:
+            return alpha, f, g
+        if not decrease or f >= lo[1]:
+            hi = (alpha, f, d)
+        else:
+            # Keep f'(lo) pointing into the bracket; hi is +inf until one is found.
+            if d * (1.0 if hi is None else hi[0] - lo[0]) >= 0:
+                hi = lo
+            lo = (alpha, f, d)
+        if hi is None:
+            alpha *= 2.0
+            continue
+        (a, fa, da), width = lo, hi[0] - lo[0]
+        # Quadratic minimizer at a + t * width; ``excess`` is its curvature * width**2.
+        excess = hi[1] - fa - da * width
+        t = -da * width / (2.0 * excess) if excess > 0 else 0.5
+        alpha = a + (t if 0.1 <= t <= 0.9 else 0.5) * width
+    return None
+
+
+def _bfgs(
+    fun: ValueAndGradient, x: np.ndarray, f: float, g: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray, int, bool]:
+    """BFGS from ``x`` (Nocedal & Wright Alg. 6.1), where ``f, g = fun(x)``.
+
+    The inverse Hessian starts at the identity, and its update is skipped
+    when ``y.s <= 0``. The first trial step of each line search is
+    ``min(1, 2.02 (f - f_prev) / g.p)``, with ``f_prev = f + |g|/2`` before
+    the first step. Returns ``(x, f, g, iterations, converged)`` at the last
+    accepted point: converged when ``|g|_inf <= GRADIENT_TOLERANCE``, not
+    converged after ``MAX_OPTIMIZER_ITERATIONS`` steps or when the line
+    search or the descent direction fails.
+    """
+    inverse_hessian = np.eye(x.size)
+    f_prev = f + np.linalg.norm(g) / 2
+    iterations = 0
+    while np.linalg.norm(g, np.inf) > GRADIENT_TOLERANCE:
+        p = -inverse_hessian @ g
+        slope = g @ p
+        if iterations == MAX_OPTIMIZER_ITERATIONS or not slope < 0:
+            return x, f, g, iterations, False
+        alpha = min(1.0, 2.02 * (f - f_prev) / slope)
+        step = _line_search(fun, x, f, g, p, alpha if alpha > 0 else 1.0)
+        if step is None:
+            return x, f, g, iterations, False
+        alpha, f_new, g_new = step
+        s, y = alpha * p, g_new - g
+        x, f_prev, f, g = x + s, f, f_new, g_new
+        iterations += 1
+        ys = y @ s
+        if ys > 0:
+            # N&W eq. 6.17: H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T.
+            left = np.eye(x.size) - np.outer(s, y) / ys
+            inverse_hessian = left @ inverse_hessian @ left.T + np.outer(s, s) / ys
+    return x, f, g, iterations, True
 
 
 def optimize_fixed_ansatz(
@@ -390,16 +477,22 @@ def optimize_fixed_ansatz(
 ) -> FixedAnsatzResult:
     """BFGS on exact adjoint gradients; deterministic given ``init``.
 
-    Never returns a point worse than ``init``. Non-finite objective or
-    gradient values abort the run with :class:`NumericalFailure`.
+    Quasi-Newton BFGS with a strong-Wolfe line search (Nocedal & Wright,
+    *Numerical Optimization*, Algs. 3.5, 3.6 and 6.1; see :func:`_bfgs`).
+    Every accepted step decreases the objective, so the returned point is
+    never worse than ``init``. Non-finite objective or gradient values abort
+    the run with :class:`NumericalFailure`.
     """
     init = np.asarray(init, dtype=np.float64)
     if init.shape != (ansatz.parameter_count,):
         raise ValueError(
             f"init has {init.shape}, ansatz expects {ansatz.parameter_count}"
         )
+    evaluations = 0
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evaluations
+        evaluations += 1
         value, grad = ansatz_value_and_gradient(ansatz, x, ctx)
         if not np.isfinite(value):
             raise NumericalFailure("non-finite objective during optimization")
@@ -407,33 +500,15 @@ def optimize_fixed_ansatz(
             raise NumericalFailure("non-finite gradient during optimization")
         return value, grad
 
-    f0, g0 = fun(init)
-    if init.size == 0:
-        return FixedAnsatzResult(init, f0, 0.0, 0, True)
-    result = minimize(
-        fun,
-        init,
-        jac=True,
-        method="BFGS",
-        options={"gtol": GRADIENT_TOLERANCE, "maxiter": MAX_OPTIMIZER_ITERATIONS},
-    )
-    if result.fun > f0:
-        return FixedAnsatzResult(
-            init, f0, float(np.abs(g0).max()), int(result.nit), False
-        )
-    grad_norm = float(np.abs(result.jac).max())
+    x, f, g, iterations, converged = _bfgs(fun, init, *fun(init))
     return FixedAnsatzResult(
-        np.asarray(result.x, dtype=np.float64),
-        float(result.fun),
-        grad_norm,
-        int(result.nit),
-        bool(result.success),
+        x, f, float(np.linalg.norm(g, np.inf)), iterations, converged, evaluations
     )
 
 
 @dataclass
 class IterationRecord:
-    """One growth step: what was chosen and where the optimizer landed."""
+    """One growth step: what was chosen, where the optimizer landed, at what cost."""
 
     index: int
     generator: str | None
@@ -443,6 +518,10 @@ class IterationRecord:
     fidelity: float
     cnot_count: int
     wall_ms: float
+    # BFGS steps, value+gradient calls and convergence; step 0 optimizes nothing.
+    optimizer_iterations: int = 0
+    optimizer_evaluations: int = 0
+    optimizer_converged: bool = True
 
 
 @dataclass
@@ -474,19 +553,7 @@ class AdaptTrace:
             "final_pool_gradient_norm": self.final_pool_gradient_norm,
             "reference_spec": self.reference_spec,
             "metadata": self.metadata,
-            "records": [
-                {
-                    "index": r.index,
-                    "generator": r.generator,
-                    "selection_gradient": r.selection_gradient,
-                    "pool_gradient_norm": r.pool_gradient_norm,
-                    "objective": r.objective,
-                    "fidelity": r.fidelity,
-                    "cnot_count": r.cnot_count,
-                    "wall_ms": r.wall_ms,
-                }
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
             "pool_gradient_history": self.pool_gradient_history,
         }
 
@@ -660,6 +727,9 @@ def adapt_vqe_run(
                 fid,
                 cnots,
                 (time.perf_counter() - t0) * 1e3,
+                result.iterations,
+                result.evaluations,
+                result.converged,
             )
         )
         if prev_objective - result.objective < STALL_IMPROVEMENT:
@@ -764,6 +834,9 @@ def _grow_layered_ansatz(
                 fid,
                 cnots,
                 (time.perf_counter() - t0) * 1e3,
+                result.iterations,
+                result.evaluations,
+                result.converged,
             )
         )
 

@@ -3,8 +3,11 @@
 Sweeps iterate the cell grid (ancilla count x inverse-temperature list),
 run the configured number of seeded restarts per cell, postselect by final
 objective, and append one result row per cell to a CSV whose column order is
-fixed by ``CSV_COLUMNS``. Every restart's full trace is persisted as JSON
-next to the CSV, sufficient to replay the ansatz bit-exactly.
+fixed by ``CSV_COLUMNS``; appending to a CSV with another header is a
+configuration error. Every restart's full trace is persisted as JSON in
+``traces/{run_id}.{config_hash}.r{restart}.json`` next to the CSV,
+sufficient to replay the ansatz bit-exactly; the config hash keeps sweeps
+that share an output directory and a run_id apart.
 
 Seed scheme (pinned by tests): the seed of restart ``r`` in the cell with
 inverse-temperature index ``b`` and ancilla count ``a`` is the first output
@@ -372,6 +375,7 @@ def _run_cell(
     for restart_index, trace in enumerate(outcome.traces):
         payload = trace.to_dict()
         payload["run_id"] = run_id
+        payload["config_hash"] = record.config_hash
         payload["restart_index"] = restart_index
         payload["beta_inv"] = beta_inv
         payload["model"] = config.model
@@ -400,11 +404,19 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "traces").mkdir(exist_ok=True)
             csv_path = out_dir / "results.csv"
+            header = [CSV_SCHEMA_COMMENT, ",".join(CSV_COLUMNS)]
             fresh = not csv_path.exists()
+            if not fresh:
+                with csv_path.open() as existing:
+                    found = [existing.readline().rstrip("\n") for _ in header]
+                if found != header:
+                    raise ConfigError(
+                        f"{csv_path} has header {found}, expected {header};"
+                        " write to another output directory"
+                    )
             writer = csv_path.open("a")
             if fresh:
-                writer.write(CSV_SCHEMA_COMMENT + "\n")
-                writer.write(",".join(CSV_COLUMNS) + "\n")
+                writer.write("\n".join(header) + "\n")
                 writer.flush()
         except OSError as exc:
             raise ConfigError(f"cannot write to output path {out_dir}: {exc}")
@@ -428,10 +440,9 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
                 writer.write(cell.record.to_csv_row() + "\n")
                 writer.flush()
                 for payload in cell.trace_dicts:
-                    trace_path = (
-                        out_dir
-                        / "traces"
-                        / f"{payload['run_id']}.r{payload['restart_index']}.json"
+                    trace_path = out_dir / "traces" / (
+                        f"{payload['run_id']}.{payload['config_hash']}"
+                        f".r{payload['restart_index']}.json"
                     )
                     trace_path.write_text(json.dumps(payload, indent=1))
     finally:
@@ -871,14 +882,13 @@ def emit_plot_data(
 
 
 def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:
-    """Locate the restart trace whose seed matches the postselected row."""
-    matches = sorted(traces_dir.glob(f"{row['run_id']}.r*.json"))
+    """Locate the restart trace of the row's run_id, config_hash and seed."""
+    key = f"{row['run_id']}.{row['config_hash']}"
+    matches = sorted(traces_dir.glob(f"{key}.r*.json"))
     if not matches:
-        raise ConfigError(
-            f"no trace files for {row['run_id']} under {traces_dir}"
-        )
+        raise ConfigError(f"no trace files for {key} under {traces_dir}")
     for path in matches:
         payload = json.loads(path.read_text())
         if payload.get("seed") == row["seed"]:
             return payload
-    raise ConfigError(f"no trace with seed {row['seed']} for {row['run_id']}")
+    raise ConfigError(f"no trace with seed {row['seed']} for {key}")

@@ -378,6 +378,88 @@ class TestOptimizeFixedAnsatz:
         assert result.objective <= init_value + 1e-12
 
 
+def rosenbrock(x):
+    a, b = x
+    value = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+    grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+    return value, grad
+
+
+class TestBfgsOnAnalyticObjectives:
+    """The optimizer run on closed-form objectives with known minimizers.
+
+    ``adapt.ansatz_value_and_gradient`` is replaced by the analytic function,
+    so only the parameter count of the two-generator ansatz matters.
+    """
+
+    @pytest.fixture
+    def minimize(self, monkeypatch, rng):
+        from gibbsprep import adapt
+
+        ctx = ObjectiveContext(single_qubit_target(), 1, 1)
+        paulis = [PauliString((0,), "X"), PauliString((1,), "Y")]
+        ansatz = make_vqe_ansatz(1, 1, paulis, np.zeros(2), rng)
+
+        def run(fun, x0):
+            calls = []
+
+            def counted(ansatz, x, ctx):
+                calls.append(np.array(x))
+                return fun(x)
+
+            monkeypatch.setattr(adapt, "ansatz_value_and_gradient", counted)
+            result = optimize_fixed_ansatz(ansatz, ctx, np.array(x0, float))
+            assert result.evaluations == len(calls)
+            return result
+
+        return run
+
+    def test_rosenbrock_reaches_minimum(self, minimize):
+        result = minimize(rosenbrock, [-1.2, 1.0])
+        assert result.converged
+        assert np.abs(result.parameters - 1.0).max() < 1e-6
+        assert result.gradient_norm <= 1e-8
+        assert 0 < result.iterations < result.evaluations
+
+    def test_convex_quadratic_reaches_solution(self, minimize):
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+        result = minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), [3.0, -5.0])
+        assert result.converged
+        assert np.allclose(result.parameters, np.linalg.solve(a, b), atol=1e-9)
+
+    def test_iteration_cap_stops_unconverged(self, minimize, monkeypatch):
+        from gibbsprep import adapt
+
+        monkeypatch.setattr(adapt, "MAX_OPTIMIZER_ITERATIONS", 3)
+        start_value = rosenbrock(np.array([-1.2, 1.0]))[0]
+        result = minimize(rosenbrock, [-1.2, 1.0])
+        assert not result.converged
+        assert result.iterations == 3
+        assert result.objective < start_value
+        assert result.objective == rosenbrock(result.parameters)[0]
+
+    def test_nan_gradient_raises(self, minimize):
+        with pytest.raises(NumericalFailure, match="non-finite gradient"):
+            minimize(lambda x: (float(x @ x), np.array([np.nan, 0.0])), [1.0, 1.0])
+
+    @pytest.mark.parametrize("first_trial", [1e-3, 0.3, 1.0, 40.0])
+    def test_line_search_meets_strong_wolfe(self, first_trial):
+        from gibbsprep.adapt import WOLFE_CURVATURE, WOLFE_DECREASE, _line_search
+
+        x, p = np.array([-1.2, 1.0]), np.array([1.0, 0.0])
+        f0, g0 = rosenbrock(x)
+        alpha, f, g = _line_search(rosenbrock, x, f0, g0, p, first_trial)
+        f_at, g_at = rosenbrock(x + alpha * p)
+        assert f == f_at and np.array_equal(g, g_at)
+        assert f <= f0 + WOLFE_DECREASE * alpha * (g0 @ p)
+        assert abs(g @ p) <= WOLFE_CURVATURE * abs(g0 @ p)
+
+    def test_converged_start_takes_no_step(self, minimize):
+        result = minimize(lambda x: (float(x @ x), 2 * x), [0.0, 0.0])
+        assert (result.iterations, result.evaluations, result.converged) == (0, 1, True)
+
+
 class TestAdaptVqeRun:
     def test_huge_threshold_returns_zero_layers(self):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
@@ -575,6 +657,46 @@ class TestBaselineRun:
         )
         reached = [r for r in outcome.trace.records if r.fidelity >= 0.99]
         assert reached and reached[0].index <= 3
+
+
+@pytest.mark.parametrize("flavor", ["qaoa", "vqe"])
+def test_records_carry_optimizer_work(monkeypatch, flavor):
+    from gibbsprep import adapt
+
+    results = []
+    real = adapt.optimize_fixed_ansatz
+
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(adapt, "optimize_fixed_ansatz", recorded)
+    n = 2
+    target = gibbs_state(ising_hamiltonian(n), 1.0)
+    ctx = ObjectiveContext(target, n, n)
+    if flavor == "qaoa":
+        _, trace = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, gamma0=0.9, seed=8)
+    else:
+        settings = VqeSettings(pool=build_vqe_pool(2 * n), epsilon=1e-3)
+        _, trace = adapt_vqe_run(settings, ctx, target, seed=8)
+    assert len(results) >= 2
+    work = [
+        (r.optimizer_iterations, r.optimizer_evaluations, r.optimizer_converged)
+        for r in trace.records
+    ]
+    assert work == [(0, 0, True)] + [
+        (r.iterations, r.evaluations, r.converged) for r in results
+    ]
+    assert all(r.evaluations > r.iterations for r in results)
+    record = trace.to_dict()["records"][1]
+    assert list(record)[-4:] == [
+        "wall_ms",
+        "optimizer_iterations",
+        "optimizer_evaluations",
+        "optimizer_converged",
+    ]
+    stripped = trace.comparable_dict()["records"][1]
+    assert set(record) - set(stripped) == {"wall_ms"}
 
 
 class TestRestartPostselect:

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: subcommands, overrides, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,32 @@ class TestSweepCommands:
             ["qaoa-gibbs", "--n_data", "2", "--n_ancilla", "1", "--restarts", "1"]
         )
         assert code == 2
+
+    def test_foreign_csv_header_exit_code(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "results.csv").write_text("run_id,fidelity\n")
+        code = main(["vqe-gibbs", "--config", str(tiny_cfg), "--out", str(out)])
+        assert code == 2
+        assert "header" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        probe = "import sys, gibbsprep.cli; print('scipy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestGradcheckCommand:

@@ -233,6 +233,36 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(config)
 
+    def test_sweeps_differing_in_truncation_keep_their_own_traces(self, tmp_path):
+        from gibbsprep.harness import _load_postselected_trace, _read_csv
+
+        out = tmp_path / "out"
+        for truncation in ("exact", 3):
+            run_sweep(
+                tiny_config(algorithm="qaoa", n_ancilla=(2,), layer_budget=1,
+                            truncation=truncation, out=str(out))
+            )
+        rows = _read_csv(out / "results.csv")
+        assert [r["truncation"] for r in rows] == ["exact", "3"]
+        assert rows[0]["run_id"] == rows[1]["run_id"]
+        assert rows[0]["seed"] == rows[1]["seed"]
+        assert len(list((out / "traces").glob("*.json"))) == 2
+        for row in rows:
+            trace = _load_postselected_trace(out / "traces", row)
+            assert trace["truncation"] == row["truncation"]
+            assert trace["config_hash"] == row["config_hash"]
+            assert trace["postselected"]
+
+    def test_append_rejects_foreign_header(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        foreign = "# some other tool\nrun_id,model,fidelity\n"
+        (out / "results.csv").write_text(foreign)
+        with pytest.raises(ConfigError, match="header"):
+            run_sweep(tiny_config(out=str(out)))
+        assert (out / "results.csv").read_text() == foreign
+        assert not list((out / "traces").glob("*.json"))
+
     def test_replay_reproduces_final_state(self, tmp_path):
         config = tiny_config(out=str(tmp_path / "out"), algorithm="qaoa",
                              n_ancilla=(2,), layer_budget=2, restarts=2)
