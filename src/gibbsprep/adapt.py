@@ -17,6 +17,13 @@ Wright, *Numerical Optimization*, 2nd ed., Alg. 6.1) with a strong-Wolfe
 line search (Algs. 3.5/3.6), fed by the exact value and gradient of one
 adjoint pass (:func:`ansatz_value_and_gradient`).
 
+The layered hot path is pair-local. The entangler's pair terms are applied
+as one SWAP rotation per pair, since ``XX + YY + ZZ = 2 SWAP - 1``
+(:attr:`PoolOperator.involutions`). The pool scan reads every candidate
+gradient from one ``2^w x 2^w`` marginal of ``|psi><lam|`` per support of
+weight ``w``, with no per-word gather table (qubit-ADAPT pools,
+arXiv:1911.10205; :func:`_pool_scan`).
+
 Within one growth loop everything is deterministic given the seed; restarts
 and postselection provide the only randomness at the protocol level.
 """
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -43,6 +51,7 @@ from .simcore import (
     pauli_apply_raw,
     pauli_rotate_raw,
     pauli_rotation,
+    swap_tables,
 )
 
 GRADIENT_TOLERANCE = 1e-8
@@ -59,6 +68,12 @@ DEFAULT_VQE_RESTARTS = 5
 DEFAULT_QAOA_RESTARTS = 8
 
 ENTANGLER_LABEL = "ENTANGLER"
+
+_PAULI_MATRICES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
 
 CNOT_CONVENTION = {
     "vqe_reference": "n_data * n_ancilla",
@@ -111,6 +126,35 @@ class PoolOperator:
     def terms(self) -> tuple[tuple[float, PauliString], ...]:
         """The generator as a sum ``sum_j c_j P_j`` of commuting Pauli words."""
         return ((1.0, self.pauli),) if self.kind == "pauli" else self.operator.terms
+
+    @cached_property
+    def involutions(
+        self,
+    ) -> tuple[float, tuple[tuple[float, PauliString | tuple[int, int]], ...]]:
+        """The generator as ``offset + sum_j c_j Q_j``, commuting involutions ``Q_j``.
+
+        So ``exp(i a G) = exp(i a offset) prod_j exp(i a c_j Q_j)``. Each
+        ``Q_j`` is a Pauli word, or a qubit pair ``(p, q)`` standing for
+        their SWAP: the terms of a pair whose XX, YY and ZZ share one weight
+        ``c`` fuse by ``c (XX + YY + ZZ) = 2c SWAP - c``, one rotation
+        instead of three. Other terms stay single words.
+        """
+        if self.kind == "pauli":
+            return 0.0, ((1.0, self.pauli),)
+        by_support: dict[tuple[int, ...], list[tuple[float, PauliString]]] = {}
+        for c, p in self.operator.terms:
+            by_support.setdefault(p.support, []).append((c, p))
+        offset, factors = 0.0, []
+        for support, terms in by_support.items():
+            weights = {c for c, _ in terms}
+            letters = sorted(p.letters for _, p in terms)
+            if len(weights) == 1 and letters == ["XX", "YY", "ZZ"]:
+                (c,) = weights
+                offset -= c
+                factors.append((2.0 * c, support))
+            else:
+                factors.extend(terms)
+        return offset, tuple(factors)
 
 
 def build_vqe_pool(n_total_qubits: int) -> tuple[PoolOperator, ...]:
@@ -266,10 +310,12 @@ class Ansatz:
 
     # -- raw-amplitude pipelines (hot path) --------------------------------
 
-    def _tables(self, p: PauliString):
-        return pauli_action_tables(
-            self.n_data + self.n_ancilla, p.support, p.letters
-        )
+    def _tables(self, word: PauliString | tuple[int, int]):
+        """Gather tables of a Pauli word or of the SWAP of a qubit pair."""
+        n_qubits = self.n_data + self.n_ancilla
+        if isinstance(word, PauliString):
+            return pauli_action_tables(n_qubits, word.support, word.letters)
+        return swap_tables(n_qubits, *word)
 
     def _apply_cost_raw(self, amps: np.ndarray, gamma: float) -> np.ndarray:
         """exp(i (gamma/2) (H_A + H_D)) with diagonal fast path."""
@@ -299,10 +345,12 @@ class Ansatz:
             return amps
         for k, op in enumerate(self.generators):
             amps = self._apply_cost_raw(amps, params[2 * k])
-            # Commuting sum: the exponential factorizes into per-term rotations.
-            for c, p in op.terms:
-                alpha = params[2 * k + 1] * c
-                amps = pauli_rotate_raw(amps, *self._tables(p), alpha)
+            alpha = params[2 * k + 1]
+            offset, factors = op.involutions
+            for c, word in factors:
+                amps = pauli_rotate_raw(amps, *self._tables(word), alpha * c)
+            if offset:
+                amps = np.exp(1j * alpha * offset) * amps
         return amps
 
 
@@ -356,10 +404,13 @@ def ansatz_value_and_gradient(
     ``lam = ((rho - T) x 1_A) psi`` are walked back through the layers
     together. At each gate ``exp(i theta G)`` the partial derivative is
     ``-2 Im<lam|G psi>``, read before the gate is un-applied from both.
-    Cost layers (generator ``(H_A + H_D)/2``) and the entangler mixer
-    (a commuting Pauli sum) need no decomposition. The result equals the
-    parameter-shift rule of :mod:`gibbsprep.objective`, which the tests and
-    ``gradcheck`` use as the oracle.
+    Cost layers (generator ``(H_A + H_D)/2``) need no decomposition. A mixer
+    is un-applied factor by factor in the form of
+    :attr:`PoolOperator.involutions`, so the entangler takes one SWAP
+    rotation per data/ancilla pair. The result equals the parameter-shift
+    rule of :mod:`gibbsprep.objective`, which unrolls every generator into
+    single Pauli words and which the tests and ``gradcheck`` use as the
+    oracle.
     """
     params = np.asarray(params, dtype=np.float64)
     psi = ansatz._build_raw(params)
@@ -373,9 +424,13 @@ def ansatz_value_and_gradient(
         return value, grad
     for k in reversed(range(ansatz.n_layers)):
         gamma, alpha = params[2 * k], params[2 * k + 1]
-        # The mixer's terms commute, so they can be un-applied in any order.
-        for c, p in ansatz.generators[k].terms:
-            inner, psi, lam = _unrotate(psi, lam, ansatz._tables(p), alpha * c)
+        # The factors commute, so they can be un-applied in any order. The
+        # phase exp(i alpha offset) scales psi and lam alike, so it cancels in
+        # every <lam|.|psi>; its own term -2 offset Im<lam|psi> is zero, since
+        # <lam|psi> = <psi|(rho - T) x 1_A|psi> is real.
+        _, factors = ansatz.generators[k].involutions
+        for c, word in factors:
+            inner, psi, lam = _unrotate(psi, lam, ansatz._tables(word), alpha * c)
             grad[2 * k + 1] -= 2.0 * c * inner.imag
         grad[2 * k] = -ansatz._cost_inner(psi, lam).imag
         psi = ansatz._apply_cost_raw(psi, -gamma)
@@ -624,25 +679,78 @@ def _trace_metadata(ansatz: Ansatz) -> dict:
     }
 
 
+@lru_cache(maxsize=8)
+def _terms_by_support(pool: tuple[PoolOperator, ...]):
+    """The pool's Pauli terms grouped by support, once per pool.
+
+    Returns ``(rows, groups)``. ``groups`` holds ``(support, weights)`` with
+    ``weights[i]`` the flattened ``c_i P_i^T``, each word as a matrix on its
+    own support (highest qubit the most significant bit, as in
+    :func:`_marginal`), so ``weights @ M.ravel()`` gives every
+    ``c_i Tr(P_i M)``; ``rows`` holds the pool index of every term, group
+    after group.
+    """
+    by_support: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
+    for j, op in enumerate(pool):
+        for c, p in op.terms:
+            local = np.ones((1, 1), dtype=np.complex128)
+            for letter in p.letters:
+                local = np.kron(_PAULI_MATRICES[letter], local)
+            by_support.setdefault(p.support, []).append((j, c * local.T.ravel()))
+    rows = np.array([j for terms in by_support.values() for j, _ in terms])
+    groups = tuple(
+        (support, np.array([w for _, w in terms]))
+        for support, terms in by_support.items()
+    )
+    return rows, groups
+
+
+def _marginal(
+    psi_lam: np.ndarray, n_qubits: int, support: tuple[int, ...]
+) -> np.ndarray:
+    """``M = Tr_rest |psi><lam|`` on ``support`` from ``psi_lam = [psi, conj(lam)]``.
+
+    ``<lam|P psi> = Tr(P M)`` for a word ``P`` on the support. Rows and
+    columns count the support's qubits with the highest one as the most
+    significant bit.
+    """
+    shape, top = [2], n_qubits
+    for q in reversed(support):
+        shape += [1 << (top - 1 - q), 2]
+        top = q
+    shape.append(1 << top)
+    # Axis 0 picks psi or conj(lam); the support's bit axes go next, then the rest.
+    w = len(support)
+    order = [0] + [2 * i + 2 for i in range(w)] + [2 * i + 1 for i in range(w + 1)]
+    psi, lam_conj = psi_lam.reshape(shape).transpose(order).reshape(2, 1 << w, -1)
+    return psi @ lam_conj.T
+
+
 def _pool_scan(
     state: StateVector, pool: tuple[PoolOperator, ...], ctx: ObjectiveContext
 ) -> np.ndarray:
-    """Candidate gradient of every pool operator at ``state``.
+    """Candidate gradient of every pool operator at ``state``, in pool order.
 
     Appending ``exp(i theta G)`` at theta = 0 gives ``-2 Im<lam|G psi>``
     with one costate ``lam`` for the whole pool; this is the quantity
     :func:`candidate_gradient` / :func:`sum_generator_gradient` compute
-    with the shift rule (their equality is pinned by tests).
+    with the shift rule (their equality is pinned by tests). No term is
+    gathered: each support gets one marginal ``M = Tr_rest |psi><lam|``
+    (4 x 4 for a pair, 2 x 2 for a qubit), every term ``c P`` on it adds
+    ``-2 c Im Tr(P M)`` to its operator's entry, and the entangler's entry
+    sums its terms (qubit-ADAPT pools, arXiv:1911.10205).
     """
     psi = state.amplitudes
     _, lam = _value_and_costate(psi, ctx, state.n_ancilla)
-    gradients = np.zeros(len(pool))
-    for j, op in enumerate(pool):
-        for c, p in op.terms:
-            tables = pauli_action_tables(state.n_total, p.support, p.letters)
-            inner = np.vdot(lam, pauli_apply_raw(psi, *tables))
-            gradients[j] -= 2.0 * c * inner.imag
-    return gradients
+    psi_lam = np.stack([psi, lam.conj()])
+    rows, groups = _terms_by_support(pool)
+    inner = np.concatenate(
+        [
+            weights @ _marginal(psi_lam, state.n_total, support).ravel()
+            for support, weights in groups
+        ]
+    )
+    return np.bincount(rows, weights=-2.0 * inner.imag, minlength=len(pool))
 
 
 def _argmax_with_ties(gradients: np.ndarray) -> int:

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -432,6 +431,10 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
         if config.workers == 1 or len(cells) == 1:
             results = map(_cell_job, cells)
         else:
+            # Imported here: concurrent.futures.process costs a serial run's
+            # start-up ~20 ms.
+            from concurrent.futures import ProcessPoolExecutor
+
             executor = ProcessPoolExecutor(max_workers=config.workers)
             results = executor.map(_cell_job, cells)
         for cell in results:
@@ -732,7 +735,8 @@ def emit_plot_data(
     ``fig1``: per model, fidelity and rank-bound vs inverse temperature per
     ancilla count, a long-format CNOT series, and the fixed-mixer overlay.
     ``fig2``: per temperature, fidelity vs layer (from the postselected
-    traces), plus CNOTs to reach 99% fidelity vs temperature.
+    traces; truncated rows get an ``_m{order}`` suffix), plus CNOTs to reach
+    99% fidelity vs temperature.
     ``fig3``: per model and truncation order, infidelity vs temperature,
     with ``exact`` rows emitted as the untruncated series.
     """
@@ -804,19 +808,26 @@ def emit_plot_data(
         qaoa_rows = [r for r in rows if r["algorithm"] == "qaoa"]
         if not qaoa_rows:
             raise ConfigError("fig2 needs qaoa rows")
+        qaoa_rows.sort(key=lambda r: r["beta_inv"])
+        # Truncated rows are named as in fig3; a name two rows share is refused.
+        names = [
+            f"qaoa_fidelity_binv{r['beta_inv']:g}"
+            + ("" if r["truncation"] == "exact" else f"_m{r['truncation']}")
+            + ".dat"
+            for r in qaoa_rows
+        ]
+        shared = sorted({n for n in names if names.count(n) > 1})
+        if shared:
+            raise ConfigError(
+                f"several qaoa rows map to {shared}; emit their sweeps separately"
+            )
         convergence: list[tuple[float, int]] = []
-        for row in sorted(qaoa_rows, key=lambda r: r["beta_inv"]):
+        for row, name in zip(qaoa_rows, names):
             trace = _load_postselected_trace(traces_dir, row)
             series = [
                 (rec["index"], rec["fidelity"]) for rec in trace["records"]
             ]
-            written.append(
-                _write_series(
-                    out_dir / f"qaoa_fidelity_binv{row['beta_inv']:g}.dat",
-                    "layer fidelity",
-                    series,
-                )
-            )
+            written.append(_write_series(out_dir / name, "layer fidelity", series))
             reached = [
                 rec
                 for rec in trace["records"]

@@ -121,6 +121,22 @@ def pauli_action_tables(n_qubits: int, support: tuple[int, ...], letters: str):
     return source, phase
 
 
+@lru_cache(maxsize=None)
+def swap_tables(n_qubits: int, a: int, b: int):
+    """SWAP of qubits ``a`` and ``b`` in the ``(source, phase)`` form above.
+
+    SWAP is an involutive basis permutation, so the phase is the scalar 1 and
+    :func:`pauli_rotate_raw` computes ``exp(i theta SWAP)`` unchanged.
+    """
+    if not (0 <= a < n_qubits and 0 <= b < n_qubits) or a == b:
+        raise IndexError(f"SWAP qubits ({a}, {b}) invalid for {n_qubits} qubits")
+    index = np.arange(1 << n_qubits, dtype=np.intp)
+    differ = ((index >> a) ^ (index >> b)) & 1
+    source = index ^ (differ * ((1 << a) | (1 << b)))
+    source.setflags(write=False)
+    return source, 1.0
+
+
 def pauli_apply_raw(amplitudes: np.ndarray, source: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """P @ amplitudes for a raw amplitude vector."""
     return phase * amplitudes[source]

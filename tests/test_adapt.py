@@ -25,6 +25,7 @@ from gibbsprep import (
     objective,
     optimize_fixed_ansatz,
     partial_trace_ancilla,
+    pauli_rotation,
     purity,
     restart_postselect,
     shift_gradient,
@@ -35,6 +36,7 @@ from gibbsprep import (
 from gibbsprep.adapt import (
     DEFAULT_QAOA_RESTARTS,
     DEFAULT_VQE_RESTARTS,
+    TIE_TOLERANCE,
     AdaptTrace,
     IterationRecord,
     PoolOperator,
@@ -44,7 +46,7 @@ from gibbsprep.adapt import (
     reference_from_angles,
 )
 
-from conftest import random_state
+from conftest import dense_operator, random_state
 
 
 def single_qubit_target(beta=1.0):
@@ -301,6 +303,28 @@ class TestAdjointEngine:
         params = rng.uniform(-np.pi, np.pi, 100)
         self.check(make_vqe_ansatz(3, 2, paulis, params, rng), params, ctx)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_swap_form_entangler_matches_per_word_rotations(self, n, rng):
+        h_data = (
+            ising_hamiltonian(n) if n > 1
+            else HermitianOperator(1, ((-1.0, PauliString((0,), "Z")),))
+        )
+        entangler = build_qaoa_pool(n, entangling_hamiltonian(n))[-1]
+        params = rng.uniform(-np.pi, np.pi, 4)
+        ansatz = layered_ansatz("baseline", n, h_data, [entangler] * 2, params)
+        # The singlet is an eigenstate of the entangler; start elsewhere.
+        ansatz.reference = random_state(n, n, rng)
+        cost_diagonal = np.diag(dense_operator(ansatz.cost_operator))
+        state = ansatz.reference
+        for gamma, alpha in params.reshape(-1, 2):
+            state = state.with_amplitudes(
+                np.exp(0.5j * gamma * cost_diagonal) * state.amplitudes
+            )
+            for c, p in entangler.terms:
+                state = pauli_rotation(state, p, alpha * c)
+        # Global phase included: exp(i a (XX + YY + ZZ)) = exp(-i a) exp(2i a SWAP).
+        assert np.abs(ansatz.prepare().amplitudes - state.amplitudes).max() <= 1e-13
+
     def test_pool_scan_on_full_vqe_pool(self, rng):
         from gibbsprep import candidate_gradient, sum_generator_gradient
         from gibbsprep.adapt import _pool_scan
@@ -320,16 +344,29 @@ class TestPoolScan:
         from gibbsprep import candidate_gradient, sum_generator_gradient
         from gibbsprep.adapt import _pool_scan
 
-        ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 0.9), 2, 2)
-        state = random_state(2, 2, rng)
-        pool = build_qaoa_pool(2, entangling_hamiltonian(2))
-        fast = _pool_scan(state, pool, ctx)
-        for j, op in enumerate(pool):
-            if op.kind == "pauli":
-                slow = candidate_gradient(state, op.pauli, ctx)
-            else:
-                slow = sum_generator_gradient(state, op.operator, ctx)
-            assert abs(fast[j] - slow) < 1e-12
+        for n in (2, 3):
+            ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(n), 0.9), n, n)
+            state = random_state(n, n, rng)
+            pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+            fast = _pool_scan(state, pool, ctx)
+            for j, op in enumerate(pool):
+                if op.kind == "pauli":
+                    slow = candidate_gradient(state, op.pauli, ctx)
+                else:
+                    slow = sum_generator_gradient(state, op.operator, ctx)
+                assert abs(fast[j] - slow) < 1e-12
+
+    def test_builds_no_gather_tables(self, rng):
+        from gibbsprep.adapt import _pool_scan
+        from gibbsprep.simcore import pauli_action_tables
+
+        ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(5), 0.9), 5, 5)
+        state = random_state(5, 5, rng)
+        pools = build_qaoa_pool(5, entangling_hamiltonian(5)), build_vqe_pool(10)
+        before = pauli_action_tables.cache_info()
+        for pool in pools:
+            _pool_scan(state, pool, ctx)
+        assert pauli_action_tables.cache_info() == before
 
 
 class TestOptimizeFixedAnsatz:
@@ -486,7 +523,8 @@ class TestAdaptVqeRun:
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
         for record, gradients in zip(trace.records[1:], trace.pool_gradient_history):
             magnitudes = np.abs(gradients)
-            chosen = magnitudes.argmax()
+            # Selection rule: the first word within TIE_TOLERANCE of the maximum.
+            chosen = np.flatnonzero(magnitudes.max() - magnitudes < TIE_TOLERANCE)[0]
             assert abs(record.selection_gradient) >= magnitudes.max() - 1e-12
             assert record.generator == pool[chosen].label
             assert record.pool_gradient_norm == pytest.approx(

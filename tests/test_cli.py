@@ -124,13 +124,15 @@ class TestSweepCommands:
 
 
 class TestImports:
-    def test_cli_import_leaves_scipy_unloaded(self):
+    @staticmethod
+    def loaded_after_cli_import(module):
+        """Whether ``import gibbsprep.cli`` in a fresh interpreter loads ``module``."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(src), env.get("PYTHONPATH")) if p
         )
-        probe = "import sys, gibbsprep.cli; print('scipy' in sys.modules)"
+        probe = f"import sys, gibbsprep.cli; print({module!r} in sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", probe],
             env=env,
@@ -138,7 +140,13 @@ class TestImports:
             text=True,
             check=True,
         )
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip() == "True"
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert not self.loaded_after_cli_import("scipy")
+
+    def test_cli_import_leaves_worker_pool_unloaded(self):
+        assert not self.loaded_after_cli_import("concurrent.futures.process")
 
 
 class TestGradcheckCommand:

@@ -386,6 +386,30 @@ class TestEmitPlotData:
         series = (tmp_path / "qaoa_fidelity_binv1.dat").read_text().splitlines()
         assert len(series) == 4  # header + layers 0..2
 
+    def test_fig2_keeps_one_series_per_truncation(self, tmp_path):
+        out = tmp_path / "out"
+        for truncation in ("exact", 3):
+            run_sweep(
+                tiny_config(algorithm="qaoa", n_ancilla=(2,), layer_budget=1,
+                            truncation=truncation, out=str(out))
+            )
+        written = emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
+        exact = tmp_path / "plot" / "qaoa_fidelity_binv1.dat"
+        truncated = tmp_path / "plot" / "qaoa_fidelity_binv1_m3.dat"
+        assert {exact, truncated} <= set(written)
+        assert exact.read_text() != truncated.read_text()
+
+    def test_fig2_rejects_rows_sharing_a_series(self, tmp_path):
+        out = tmp_path / "out"
+        for seed in (7, 8):
+            run_sweep(
+                tiny_config(algorithm="qaoa", n_ancilla=(2,), layer_budget=1,
+                            master_seed=seed, out=str(out))
+            )
+        with pytest.raises(ConfigError, match="qaoa_fidelity_binv1.dat"):
+            emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
+        assert not list((tmp_path / "plot").glob("*.dat"))
+
     def test_fig3_series_per_truncation(self, sweep_outputs, tmp_path):
         written = emit_plot_data(sweep_outputs / "results.csv", "fig3", tmp_path)
         names = [p.name for p in written]
