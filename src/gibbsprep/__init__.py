@@ -47,7 +47,6 @@ from .simcore import (
     DensityMatrix,
     PauliString,
     StateVector,
-    apply_hermitian_exponential,
     apply_pauli,
     fidelity,
     partial_trace_ancilla,
@@ -72,7 +71,6 @@ __all__ = [
     "StateVector",
     "adapt_qaoa_run",
     "adapt_vqe_run",
-    "apply_hermitian_exponential",
     "apply_pauli",
     "auxiliary_objective",
     "baseline_qaoa_run",

@@ -17,12 +17,14 @@ Wright, *Numerical Optimization*, 2nd ed., Alg. 6.1) with a strong-Wolfe
 line search (Algs. 3.5/3.6), fed by the exact value and gradient of one
 adjoint pass (:func:`ansatz_value_and_gradient`).
 
-The layered hot path is pair-local. The entangler's pair terms are applied
-as one SWAP rotation per pair, since ``XX + YY + ZZ = 2 SWAP - 1``
-(:attr:`PoolOperator.involutions`). The pool scan reads every candidate
-gradient from one ``2^w x 2^w`` marginal of ``|psi><lam|`` per support of
-weight ``w``, with no per-word gather table (qubit-ADAPT pools,
-arXiv:1911.10205; :func:`_pool_scan`).
+The layered hot path is pair-local. The cost layer is ``V (x) V`` with
+``V = exp(i gamma H/2)`` on the data register (:meth:`Ansatz._apply_cost_raw`),
+so nothing is exponentiated on the joint register. The entangler's pair
+terms are applied as one SWAP rotation per pair, since
+``XX + YY + ZZ = 2 SWAP - 1`` (:attr:`PoolOperator.involutions`). The pool
+scan reads every candidate gradient from one ``2^w x 2^w`` marginal of
+``|psi><lam|`` per support of weight ``w``, with no per-word gather table
+(qubit-ADAPT pools, arXiv:1911.10205; :func:`_pool_scan`).
 
 Within one growth loop everything is deterministic given the seed; restarts
 and postselection provide the only randomness at the protocol level.
@@ -264,8 +266,15 @@ class Ansatz:
     ``vqe`` flavor stores one rotation angle per generator. ``qaoa`` and
     ``baseline`` flavors interleave parameters as
     ``[gamma_1, alpha_1, ..., gamma_n, alpha_n]`` and require
-    ``cost_operator`` (the problem Hamiltonian mirrored onto both
-    registers). The reference is applied first, then layer 1, layer 2, ...
+    ``cost_operator`` to be the problem Hamiltonian mirrored onto both
+    registers, ``H (x) 1 + 1 (x) H`` with ``n_ancilla == n_data``: its terms
+    are ``H``'s data-register terms followed by the same terms shifted onto
+    the ancillas, as :func:`~gibbsprep.models.joint_problem_hamiltonian`
+    builds it. The cost layer then factorises as
+    ``exp(i gamma (H (x) 1 + 1 (x) H)/2) = V (x) V`` with
+    ``V = exp(i gamma H/2)`` on the data register alone
+    (:attr:`data_hamiltonian`, :meth:`_apply_cost_raw`). The reference is
+    applied first, then layer 1, layer 2, ...
     """
 
     flavor: str
@@ -289,7 +298,24 @@ class Ansatz:
                 raise ValueError(
                     "cost operator terms must mutually commute for layered ansatz"
                 )
+            self.data_hamiltonian  # raises unless the cost is mirrored
         self.parameters = np.asarray(self.parameters, dtype=np.float64)
+
+    @cached_property
+    def data_hamiltonian(self) -> HermitianOperator:
+        """``H`` of the layered cost ``H (x) 1 + 1 (x) H``: its data-register terms."""
+        cost, n = self.cost_operator, self.n_data
+        h = HermitianOperator(n, tuple(t for t in cost.terms if t[1].support[-1] < n))
+        if (
+            self.n_ancilla != n
+            or cost.n_qubits != 2 * n
+            or cost.terms != h.terms + h.shifted_to(2 * n, n).terms
+        ):
+            raise ValueError(
+                "cost operator must be the mirrored H (x) 1 + 1 (x) H: its "
+                "data-register terms, then the same on n_ancilla == n_data ancillas"
+            )
+        return h
 
     @property
     def n_layers(self) -> int:
@@ -317,34 +343,63 @@ class Ansatz:
             return pauli_action_tables(n_qubits, word.support, word.letters)
         return swap_tables(n_qubits, *word)
 
-    def _apply_cost_raw(self, amps: np.ndarray, gamma: float) -> np.ndarray:
-        """exp(i (gamma/2) (H_A + H_D)) with diagonal fast path."""
-        op = self.cost_operator
-        diag = op.diagonal()
-        t = gamma / 2.0
+    def _cost_unitary(self, gamma: float) -> np.ndarray:
+        """``V = exp(i gamma H/2)`` of the cost layer ``V (x) V``.
+
+        For diagonal ``H`` it is the joint phase vector ``outer(v, v).ravel()``
+        with ``v = exp(i gamma h/2)``; otherwise the ``2^n x 2^n`` matrix
+        ``W diag(exp(i gamma w/2)) W^dagger`` from ``H``'s eigensystem.
+        """
+        h = self.data_hamiltonian
+        diag = h.diagonal()
         if diag is not None:
-            return np.exp(1j * t * diag) * amps
-        values, vectors = op.eigensystem()
-        rotated = np.exp(1j * t * values) * (vectors.conj().T @ amps)
-        return vectors @ rotated
+            v = np.exp(0.5j * gamma * diag)
+            return (v[:, None] * v).ravel()
+        values, vectors = h.eigensystem()
+        return (vectors * np.exp(0.5j * gamma * values)) @ vectors.conj().T
+
+    def _cost_unitaries(self, params: np.ndarray) -> list[np.ndarray]:
+        """One :meth:`_cost_unitary` per layer, none for the ``vqe`` flavor."""
+        if self.flavor == "vqe":
+            return []
+        return [self._cost_unitary(gamma) for gamma in params[0::2]]
+
+    def _apply_cost_raw(self, amps: np.ndarray, gamma: float) -> np.ndarray:
+        """``exp(i (gamma/2) (H (x) 1 + 1 (x) H)) amps`` from the data register alone.
+
+        The layer is ``V (x) V`` with ``V = exp(i gamma H/2)``: ``V Psi V^T``
+        on the ``(2^n_ancilla x 2^n_data)`` amplitude block ``Psi``, or one
+        phase multiply when ``H`` is diagonal. ``-gamma`` inverts it.
+        """
+        return _apply_cost(amps, self._cost_unitary(gamma))
 
     def _cost_inner(self, psi: np.ndarray, lam: np.ndarray) -> complex:
-        """<lam| (H_A + H_D) |psi>."""
-        op = self.cost_operator
-        diag = op.diagonal()
-        if diag is not None:
-            return np.vdot(lam, diag * psi)
-        values, vectors = op.eigensystem()
-        return np.vdot(vectors.conj().T @ lam, values * (vectors.conj().T @ psi))
+        """``<lam| (H (x) 1 + 1 (x) H) |psi>`` as ``vdot(Lam, H Psi + Psi H^T)``."""
+        if self._cost_energies is not None:
+            return np.vdot(lam, self._cost_energies * psi)
+        h = self.data_hamiltonian.matrix
+        block = psi.reshape(h.shape[0], -1)
+        return np.vdot(lam, h @ block + block @ h.T)
 
-    def _build_raw(self, params: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _cost_energies(self) -> np.ndarray | None:
+        """The joint cost's diagonal ``h_a + h_d`` if ``H`` is diagonal, else None."""
+        h = self.data_hamiltonian.diagonal()
+        return None if h is None else (h[:, None] + h).ravel()
+
+    def _build_raw(
+        self, params: np.ndarray, cost_unitaries: list[np.ndarray] | None = None
+    ) -> np.ndarray:
+        """Final amplitudes, given or building :meth:`_cost_unitaries` of ``params``."""
         amps = self.reference.amplitudes
         if self.flavor == "vqe":
             for op, theta in zip(self.generators, params):
                 amps = pauli_rotate_raw(amps, *self._tables(op.pauli), theta)
             return amps
+        if cost_unitaries is None:
+            cost_unitaries = self._cost_unitaries(params)
         for k, op in enumerate(self.generators):
-            amps = self._apply_cost_raw(amps, params[2 * k])
+            amps = _apply_cost(amps, cost_unitaries[k])
             alpha = params[2 * k + 1]
             offset, factors = op.involutions
             for c, word in factors:
@@ -352,6 +407,14 @@ class Ansatz:
             if offset:
                 amps = np.exp(1j * alpha * offset) * amps
         return amps
+
+
+def _apply_cost(amps: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+    """``(V (x) V) amps``, ``unitary`` in the form of :meth:`Ansatz._cost_unitary`."""
+    if unitary.ndim == 1:
+        return unitary * amps
+    block = amps.reshape(-1, unitary.shape[0])
+    return (unitary @ block @ unitary.T).reshape(-1)
 
 
 def _objective_raw(rho: np.ndarray, ctx: ObjectiveContext) -> float:
@@ -404,7 +467,12 @@ def ansatz_value_and_gradient(
     ``lam = ((rho - T) x 1_A) psi`` are walked back through the layers
     together. At each gate ``exp(i theta G)`` the partial derivative is
     ``-2 Im<lam|G psi>``, read before the gate is un-applied from both.
-    Cost layers (generator ``(H_A + H_D)/2``) need no decomposition. A mixer
+    Each cost layer (generator ``(H (x) 1 + 1 (x) H)/2``) gets one unitary
+    ``V (x) V`` per call, from the data register alone
+    (:meth:`Ansatz._cost_unitary`): the forward build applies it, and the
+    reverse pass applies its adjoint to both ``psi`` and ``lam`` and reads
+    the gamma-derivative as ``-Im vdot(Lam, H Psi + Psi H^T)`` on the
+    amplitude blocks. No other exponential runs. A mixer
     is un-applied factor by factor in the form of
     :attr:`PoolOperator.involutions`, so the entangler takes one SWAP
     rotation per data/ancilla pair. The result equals the parameter-shift
@@ -413,7 +481,8 @@ def ansatz_value_and_gradient(
     oracle.
     """
     params = np.asarray(params, dtype=np.float64)
-    psi = ansatz._build_raw(params)
+    cost_unitaries = ansatz._cost_unitaries(params)
+    psi = ansatz._build_raw(params, cost_unitaries)
     value, lam = _value_and_costate(psi, ctx, ansatz.n_ancilla)
     grad = np.zeros(ansatz.parameter_count)
     if ansatz.flavor == "vqe":
@@ -423,7 +492,7 @@ def ansatz_value_and_gradient(
             grad[k] = -2.0 * inner.imag
         return value, grad
     for k in reversed(range(ansatz.n_layers)):
-        gamma, alpha = params[2 * k], params[2 * k + 1]
+        alpha = params[2 * k + 1]
         # The factors commute, so they can be un-applied in any order. The
         # phase exp(i alpha offset) scales psi and lam alike, so it cancels in
         # every <lam|.|psi>; its own term -2 offset Im<lam|psi> is zero, since
@@ -433,8 +502,10 @@ def ansatz_value_and_gradient(
             inner, psi, lam = _unrotate(psi, lam, ansatz._tables(word), alpha * c)
             grad[2 * k + 1] -= 2.0 * c * inner.imag
         grad[2 * k] = -ansatz._cost_inner(psi, lam).imag
-        psi = ansatz._apply_cost_raw(psi, -gamma)
-        lam = ansatz._apply_cost_raw(lam, -gamma)
+        forward = cost_unitaries[k]
+        inverse = forward.conj() if forward.ndim == 1 else forward.conj().T
+        psi = _apply_cost(psi, inverse)
+        lam = _apply_cost(lam, inverse)
     return value, grad
 
 
@@ -622,12 +693,7 @@ class AdaptTrace:
 
 def _cost_layer_cnots(ansatz: Ansatz) -> int:
     """Adopted convention: 2 CNOTs per weight-2 term of the data-register copy."""
-    n_data = ansatz.n_data
-    return 2 * sum(
-        1
-        for _, p in ansatz.cost_operator.terms
-        if p.weight == 2 and p.support[-1] < n_data
-    )
+    return 2 * sum(1 for _, p in ansatz.data_hamiltonian.terms if p.weight == 2)
 
 
 def cnot_count(ansatz: Ansatz) -> int:
@@ -646,8 +712,16 @@ def cnot_count(ansatz: Ansatz) -> int:
     return ansatz.n_data + sum(per_cost + op.cnot_cost for op in ansatz.generators)
 
 
+class _PoolSettings:
+    """Keeps the pool's :func:`_terms_by_support` with the settings that own it."""
+
+    @cached_property
+    def pool_groups(self):
+        return _terms_by_support(self.pool)
+
+
 @dataclass(frozen=True)
-class VqeSettings:
+class VqeSettings(_PoolSettings):
     pool: tuple[PoolOperator, ...]
     epsilon: float
     max_iterations: int = MAX_VQE_ITERATIONS
@@ -659,7 +733,7 @@ class VqeSettings:
 
 
 @dataclass(frozen=True)
-class QaoaSettings:
+class QaoaSettings(_PoolSettings):
     pool: tuple[PoolOperator, ...]
     cost_operator: HermitianOperator
     layer_budget: int
@@ -679,24 +753,32 @@ def _trace_metadata(ansatz: Ansatz) -> dict:
     }
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
+def _local_word(letters: str) -> np.ndarray:
+    """Flattened ``P^T`` of a word ``P`` on its own support."""
+    local = np.ones((1, 1), dtype=np.complex128)
+    for letter in letters:
+        local = np.kron(_PAULI_MATRICES[letter], local)
+    flat = local.T.ravel()
+    flat.setflags(write=False)
+    return flat
+
+
 def _terms_by_support(pool: tuple[PoolOperator, ...]):
-    """The pool's Pauli terms grouped by support, once per pool.
+    """The pool's Pauli terms grouped by support.
 
     Returns ``(rows, groups)``. ``groups`` holds ``(support, weights)`` with
     ``weights[i]`` the flattened ``c_i P_i^T``, each word as a matrix on its
     own support (highest qubit the most significant bit, as in
     :func:`_marginal`), so ``weights @ M.ravel()`` gives every
     ``c_i Tr(P_i M)``; ``rows`` holds the pool index of every term, group
-    after group.
+    after group. The settings that own a pool keep it as ``pool_groups``.
     """
     by_support: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
     for j, op in enumerate(pool):
         for c, p in op.terms:
-            local = np.ones((1, 1), dtype=np.complex128)
-            for letter in p.letters:
-                local = np.kron(_PAULI_MATRICES[letter], local)
-            by_support.setdefault(p.support, []).append((j, c * local.T.ravel()))
+            weights = c * _local_word(p.letters)
+            by_support.setdefault(p.support, []).append((j, weights))
     rows = np.array([j for terms in by_support.values() for j, _ in terms])
     groups = tuple(
         (support, np.array([w for _, w in terms]))
@@ -727,7 +809,10 @@ def _marginal(
 
 
 def _pool_scan(
-    state: StateVector, pool: tuple[PoolOperator, ...], ctx: ObjectiveContext
+    state: StateVector,
+    pool: tuple[PoolOperator, ...],
+    ctx: ObjectiveContext,
+    groups=None,
 ) -> np.ndarray:
     """Candidate gradient of every pool operator at ``state``, in pool order.
 
@@ -738,12 +823,13 @@ def _pool_scan(
     gathered: each support gets one marginal ``M = Tr_rest |psi><lam|``
     (4 x 4 for a pair, 2 x 2 for a qubit), every term ``c P`` on it adds
     ``-2 c Im Tr(P M)`` to its operator's entry, and the entangler's entry
-    sums its terms (qubit-ADAPT pools, arXiv:1911.10205).
+    sums its terms (qubit-ADAPT pools, arXiv:1911.10205). ``groups`` is
+    :func:`_terms_by_support` of ``pool``, built here unless given.
     """
     psi = state.amplitudes
     _, lam = _value_and_costate(psi, ctx, state.n_ancilla)
     psi_lam = np.stack([psi, lam.conj()])
-    rows, groups = _terms_by_support(pool)
+    rows, groups = _terms_by_support(pool) if groups is None else groups
     inner = np.concatenate(
         [
             weights @ _marginal(psi_lam, state.n_total, support).ravel()
@@ -809,7 +895,7 @@ def adapt_vqe_run(
     for iteration in range(1, settings.max_iterations + 1):
         t0 = time.perf_counter()
         state = ansatz.prepare(params)
-        gradients = _pool_scan(state, settings.pool, ctx)
+        gradients = _pool_scan(state, settings.pool, ctx, settings.pool_groups)
         if history is not None:
             history.append([float(g) for g in gradients])
         pool_norm = float(np.linalg.norm(gradients))
@@ -915,7 +1001,9 @@ def _grow_layered_ansatz(
         if select:
             scan_raw = ansatz._apply_cost_raw(ansatz._build_raw(params), gamma0)
             scan_state = ansatz.reference.with_amplitudes(scan_raw)
-            gradients = _pool_scan(scan_state, settings.pool, ctx)
+            gradients = _pool_scan(
+                scan_state, settings.pool, ctx, settings.pool_groups
+            )
             if history is not None:
                 history.append([float(g) for g in gradients])
             pool_norm = float(np.linalg.norm(gradients))

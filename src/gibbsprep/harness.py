@@ -809,57 +809,42 @@ def emit_plot_data(
         if not qaoa_rows:
             raise ConfigError("fig2 needs qaoa rows")
         qaoa_rows.sort(key=lambda r: r["beta_inv"])
+
+        def suffix(row: dict) -> str:
+            return "" if row["truncation"] == "exact" else f"_m{row['truncation']}"
+
         # Truncated rows are named as in fig3; a name two rows share is refused.
         names = [
-            f"qaoa_fidelity_binv{r['beta_inv']:g}"
-            + ("" if r["truncation"] == "exact" else f"_m{r['truncation']}")
-            + ".dat"
-            for r in qaoa_rows
+            f"qaoa_fidelity_binv{r['beta_inv']:g}{suffix(r)}.dat" for r in qaoa_rows
         ]
         shared = sorted({n for n in names if names.count(n) > 1})
         if shared:
             raise ConfigError(
                 f"several qaoa rows map to {shared}; emit their sweeps separately"
             )
-        convergence: list[tuple[float, int]] = []
+        # One CNOT series per algorithm and truncation order, named like the above.
+        to_target: dict[str, list[tuple[float, int]]] = {}
         for row, name in zip(qaoa_rows, names):
             trace = _load_postselected_trace(traces_dir, row)
             series = [
                 (rec["index"], rec["fidelity"]) for rec in trace["records"]
             ]
             written.append(_write_series(out_dir / name, "layer fidelity", series))
-            reached = [
-                rec
-                for rec in trace["records"]
-                if rec["fidelity"] >= CONVERGED_FIDELITY
-            ]
-            if reached:
-                convergence.append((row["beta_inv"], reached[0]["cnot_count"]))
-        if convergence:
-            written.append(
-                _write_series(
-                    out_dir / "qaoa_cnots_to_target.dat",
-                    f"beta_inv cnot_count_to_fidelity_{CONVERGED_FIDELITY}",
-                    convergence,
-                )
+            _add_cnots_to_target(
+                to_target, f"qaoa_cnots_to_target{suffix(row)}", row, trace
             )
         baseline_rows = [r for r in rows if r["algorithm"] == "baseline"]
-        overlay: list[tuple[float, int]] = []
         for row in sorted(baseline_rows, key=lambda r: r["beta_inv"]):
             trace = _load_postselected_trace(traces_dir, row)
-            reached = [
-                rec
-                for rec in trace["records"]
-                if rec["fidelity"] >= CONVERGED_FIDELITY
-            ]
-            if reached:
-                overlay.append((row["beta_inv"], reached[0]["cnot_count"]))
-        if overlay:
+            _add_cnots_to_target(
+                to_target, f"baseline_cnots_to_target{suffix(row)}", row, trace
+            )
+        for stem, series in to_target.items():
             written.append(
                 _write_series(
-                    out_dir / "baseline_cnots_to_target.dat",
+                    out_dir / f"{stem}.dat",
                     f"beta_inv cnot_count_to_fidelity_{CONVERGED_FIDELITY}",
-                    overlay,
+                    series,
                 )
             )
         return written
@@ -890,6 +875,16 @@ def emit_plot_data(
         return written
 
     raise ConfigError(f"unknown panel {panel!r}; expected fig1, fig2 or fig3")
+
+
+def _add_cnots_to_target(
+    to_target: dict[str, list[tuple[float, int]]], stem: str, row: dict, trace: dict
+) -> None:
+    """Append ``(beta_inv, CNOTs at the first record reaching CONVERGED_FIDELITY)``."""
+    for rec in trace["records"]:
+        if rec["fidelity"] >= CONVERGED_FIDELITY:
+            to_target.setdefault(stem, []).append((row["beta_inv"], rec["cnot_count"]))
+            return
 
 
 def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:

@@ -18,12 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .models import HermitianOperator
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-10
@@ -245,28 +241,6 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """CNOT with the given control/target (a self-inverse basis permutation)."""
     source = _cnot_table(state.n_total, control, target)
     return state.with_amplitudes(state.amplitudes[source])
-
-
-def apply_hermitian_exponential(
-    state: StateVector, operator: "HermitianOperator", t: float
-) -> StateVector:
-    """Return ``exp(i t H) |psi>`` exactly.
-
-    Diagonal operators (all-Z terms) short-circuit to a direct phase
-    multiplication; otherwise the operator's cached eigendecomposition is
-    used as basis change + phase + inverse basis change.
-    """
-    if operator.n_qubits != state.n_total:
-        raise ValueError(
-            f"operator acts on {operator.n_qubits} qubits, state has {state.n_total}"
-        )
-    diag = operator.diagonal()
-    if diag is not None:
-        return state.with_amplitudes(np.exp(1j * t * diag) * state.amplitudes)
-    eigenvalues, eigenvectors = operator.eigensystem()
-    rotated = eigenvectors.conj().T @ state.amplitudes
-    rotated *= np.exp(1j * t * eigenvalues)
-    return state.with_amplitudes(eigenvectors @ rotated)
 
 
 def partial_trace_ancilla_raw(

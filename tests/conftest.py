@@ -36,6 +36,12 @@ def dense_operator(op):
     return total
 
 
+def dense_exponential(matrix, t):
+    """``exp(i t M)`` of a Hermitian matrix from its eigendecomposition."""
+    values, vectors = np.linalg.eigh(matrix)
+    return (vectors * np.exp(1j * t * values)) @ vectors.conj().T
+
+
 def random_state(n_data, n_ancilla, rng):
     dim = 1 << (n_data + n_ancilla)
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)

@@ -46,7 +46,7 @@ from gibbsprep.adapt import (
     reference_from_angles,
 )
 
-from conftest import dense_operator, random_state
+from conftest import dense_exponential, dense_operator, random_state
 
 
 def single_qubit_target(beta=1.0):
@@ -256,6 +256,85 @@ def layered_ansatz(flavor, n, h_data, generators, params):
     )
 
 
+def cost_model(name, n):
+    """A data Hamiltonian on ``n`` qubits with commuting terms.
+
+    ``ising`` is diagonal, ``xx`` an open XX chain with distinct weights
+    (real, not diagonal), and ``complex`` has Y letters, so that its
+    ``exp(i gamma H/2)`` is not a symmetric matrix.
+    """
+    if name == "ising":
+        return (
+            ising_hamiltonian(n) if n > 1
+            else HermitianOperator(1, ((-1.0, PauliString((0,), "Z")),))
+        )
+    if name == "xx":
+        if n == 1:
+            return HermitianOperator(1, ((-0.8, PauliString((0,), "X")),))
+        return HermitianOperator(
+            n,
+            tuple(
+                (-1.0 + 0.4 * i, PauliString((i, i + 1), "XX")) for i in range(n - 1)
+            ),
+        )
+    if n == 1:
+        return HermitianOperator(1, ((0.7, PauliString((0,), "Y")),))
+    terms = [(-1.0, PauliString((0, 1), "XY")), (-0.5, PauliString((0, 1), "YX"))]
+    terms += [(0.3, PauliString((q,), "Z")) for q in range(2, n)]
+    return HermitianOperator(n, tuple(terms))
+
+
+class TestCostLayer:
+    """``V (x) V`` from the data register against the dense 2n-qubit exponential."""
+
+    @pytest.mark.parametrize("model", ["ising", "xx", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_exponential(self, model, n, rng):
+        ansatz = layered_ansatz("baseline", n, cost_model(model, n), [], np.zeros(0))
+        assert (ansatz.data_hamiltonian.diagonal() is None) == (model != "ising")
+        joint = dense_operator(ansatz.cost_operator)
+        psi = random_state(n, n, rng).amplitudes
+        lam = random_state(n, n, rng).amplitudes
+        gamma = rng.uniform(-np.pi, np.pi)
+        for g in (gamma, -gamma):  # forward and inverse
+            expected = dense_exponential(joint, g / 2) @ psi
+            assert np.abs(ansatz._apply_cost_raw(psi, g) - expected).max() <= 1e-13
+        assert abs(ansatz._cost_inner(psi, lam) - np.vdot(lam, joint @ psi)) <= 1e-13
+
+    def test_diagonal_phase_action(self, rng):
+        n, gamma = 3, 0.74
+        ansatz = layered_ansatz("baseline", n, ising_hamiltonian(n), [], np.zeros(0))
+        # independent diagonal: energies from spin enumeration
+        energies = np.empty(8)
+        for z in range(8):
+            s = [1 - 2 * ((z >> q) & 1) for q in range(3)]
+            energies[z] = -sum(s[i] * s[(i + 1) % 3] for i in range(3))
+        joint = (energies[:, None] + energies[None, :]).ravel()  # ancilla bits high
+        psi = random_state(n, n, rng).amplitudes
+        expected = np.exp(0.5j * gamma * joint) * psi
+        assert np.abs(ansatz._apply_cost_raw(psi, gamma) - expected).max() <= 1e-13
+
+    def test_rejects_cost_that_is_not_mirrored(self):
+        n = 2
+        h = ising_hamiltonian(n)
+        on_ancillas = h.shifted_to(2 * n, n).terms
+        reweighted = tuple((2.0 * c, p) for c, p in on_ancillas)
+        for n_ancilla, cost in (
+            (n, h.shifted_to(2 * n, 0)),  # data register only
+            (n, HermitianOperator(2 * n, h.terms + reweighted)),
+            (n + 1, joint_problem_hamiltonian(h)),
+        ):
+            with pytest.raises(ValueError, match="mirrored"):
+                Ansatz(
+                    flavor="qaoa",
+                    n_data=n,
+                    n_ancilla=n_ancilla,
+                    reference=singlet_reference_state(n),
+                    reference_spec={"kind": "singlet"},
+                    cost_operator=cost,
+                )
+
+
 def weighted_entangler(n):
     """The pair entangler with distinct non-unit weights on its terms."""
     terms = entangling_hamiltonian(n).terms
@@ -285,16 +364,18 @@ class TestAdjointEngine:
 
     def test_qaoa_with_nondiagonal_commuting_cost(self, rng):
         n = 3
-        xx_chain = HermitianOperator(
-            n, ((-1.0, PauliString((0, 1), "XX")), (-0.6, PauliString((1, 2), "XX")))
-        )
-        ctx = ObjectiveContext(gibbs_state(xx_chain, 1.3), n, n)
         pool = build_qaoa_pool(n, entangling_hamiltonian(n))
-        params = rng.uniform(-np.pi, np.pi, 6)
         mixers = [pool[-1], pool[5], weighted_entangler(n)]
-        ansatz = layered_ansatz("qaoa", n, xx_chain, mixers, params)
-        assert ansatz.cost_operator.diagonal() is None
-        self.check(ansatz, params, ctx)
+        for model in ("xx", "complex"):
+            h_data = cost_model(model, n)
+            ctx = ObjectiveContext(gibbs_state(h_data, 1.3), n, n)
+            params = rng.uniform(-np.pi, np.pi, 6)
+            ansatz = layered_ansatz("qaoa", n, h_data, mixers, params)
+            assert ansatz.data_hamiltonian.diagonal() is None
+            self.check(ansatz, params, ctx)
+            # The cost layer comes from the data register: nothing 2n-qubit is built.
+            built = ansatz.cost_operator.__dict__.keys()
+            assert not {"matrix", "_eigensystem", "_diagonal"} & built
 
     def test_hundred_layer_vqe(self, rng):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(3), 1.1), 3, 2)

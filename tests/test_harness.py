@@ -391,13 +391,21 @@ class TestEmitPlotData:
         for truncation in ("exact", 3):
             run_sweep(
                 tiny_config(algorithm="qaoa", n_ancilla=(2,), layer_budget=1,
-                            truncation=truncation, out=str(out))
+                            beta_inv_list=(0.5,), truncation=truncation,
+                            out=str(out))
             )
         written = emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
-        exact = tmp_path / "plot" / "qaoa_fidelity_binv1.dat"
-        truncated = tmp_path / "plot" / "qaoa_fidelity_binv1_m3.dat"
+        exact = tmp_path / "plot" / "qaoa_fidelity_binv0.5.dat"
+        truncated = tmp_path / "plot" / "qaoa_fidelity_binv0.5_m3.dat"
         assert {exact, truncated} <= set(written)
         assert exact.read_text() != truncated.read_text()
+        # Both orders reach the target; each CNOT series holds its own row only.
+        cnots = tmp_path / "plot" / "qaoa_cnots_to_target.dat"
+        cnots_m3 = tmp_path / "plot" / "qaoa_cnots_to_target_m3.dat"
+        assert {cnots, cnots_m3} <= set(written)
+        for path in (cnots, cnots_m3):
+            rows = path.read_text().splitlines()[1:]
+            assert len(rows) == 1 and rows[0].startswith("0.5 ")
 
     def test_fig2_rejects_rows_sharing_a_series(self, tmp_path):
         out = tmp_path / "out"

@@ -28,9 +28,7 @@ from gibbsprep import (
     sum_generator_gradient,
     xy_hamiltonian,
 )
-from gibbsprep.simcore import apply_hermitian_exponential
-
-from conftest import random_density, random_state
+from conftest import dense_exponential, dense_operator, random_density, random_state
 
 
 def make_ctx(n_data=2, n_ancilla=2, beta=1.0, model=ising_hamiltonian):
@@ -243,7 +241,8 @@ class TestSumGeneratorGradient:
         state = random_state(2, 2, rng)
 
         def prepare(params):
-            return apply_hermitian_exponential(state, h_ad, float(params[0]))
+            unitary = dense_exponential(dense_operator(h_ad), float(params[0]))
+            return state.with_amplitudes(unitary @ state.amplitudes)
 
         exact = sum_generator_gradient(state, h_ad, ctx)
         approx = fd_gradient(prepare, 0, np.zeros(1), ctx)

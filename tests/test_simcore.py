@@ -1,4 +1,4 @@
-"""Kernel tests: Pauli action, rotations, exponentials, traces, metrics."""
+"""Kernel tests: Pauli action, rotations, traces, metrics."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from gibbsprep import (
     HermitianOperator,
     PauliString,
     StateVector,
-    apply_hermitian_exponential,
     apply_pauli,
     fidelity,
-    ising_hamiltonian,
     partial_trace_ancilla,
     pauli_rotation,
     purity,
@@ -19,7 +17,7 @@ from gibbsprep import (
 )
 from gibbsprep.simcore import apply_cnot
 
-from conftest import dense_pauli, random_state
+from conftest import dense_exponential, dense_operator, dense_pauli, random_state
 
 
 def random_pauli(n_qubits, rng, max_weight=2):
@@ -140,51 +138,15 @@ class TestPauliRotation:
         )
 
     def test_matches_hermitian_exponential(self, rng):
-        # cos/sin closed form vs eigendecomposition route, 100 random pairs
+        # cos/sin closed form vs a dense eigendecomposition, 100 random pairs
         for _ in range(100):
             state = random_state(2, 2, rng)
             p = random_pauli(4, rng)
             theta = rng.uniform(-np.pi, np.pi)
             op = HermitianOperator(4, ((1.0, p),))
             a = pauli_rotation(state, p, theta)
-            b = apply_hermitian_exponential(state, op, theta)
-            assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-12
-
-
-class TestHermitianExponential:
-    def test_t_zero_identity(self, rng):
-        state = random_state(2, 2, rng)
-        op = HermitianOperator(4, ((0.7, PauliString((0, 3), "XZ")),))
-        out = apply_hermitian_exponential(state, op, 0.0)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
-
-    def test_diagonal_phase_action(self, rng):
-        h = ising_hamiltonian(3)
-        state = random_state(3, 0, rng)
-        t = 0.37
-        out = apply_hermitian_exponential(state, h, t)
-        # independent diagonal: energies from spin enumeration
-        energies = np.empty(8)
-        for z in range(8):
-            s = [1 - 2 * ((z >> q) & 1) for q in range(3)]
-            energies[z] = -sum(s[i] * s[(i + 1) % 3] for i in range(3))
-        expected = np.exp(1j * t * energies) * state.amplitudes
-        assert np.allclose(out.amplitudes, expected, atol=1e-13)
-
-    def test_dimension_mismatch(self, rng):
-        state = random_state(1, 1, rng)
-        op = HermitianOperator(3, ((1.0, PauliString((0,), "X")),))
-        with pytest.raises(ValueError):
-            apply_hermitian_exponential(state, op, 0.1)
-
-    def test_norm_preserved(self, rng):
-        op = HermitianOperator(
-            4,
-            tuple((float(rng.normal()), random_pauli(4, rng)) for _ in range(5)),
-        )
-        state = random_state(2, 2, rng)
-        out = apply_hermitian_exponential(state, op, 1.3)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+            b = dense_exponential(dense_operator(op), theta) @ state.amplitudes
+            assert np.abs(a.amplitudes - b).max() < 1e-12
 
 
 class TestPartialTrace:
