@@ -12,6 +12,12 @@ Two ansatz families are grown here:
   pool of data-ancilla Pauli words plus the pair entangler (``qaoa``) or
   fixed to the pair entangler (``baseline``). Layer k = 1 is applied first.
 
+Both families run through one layer loop: a ``vqe`` generator is a layer
+without a cost unitary, so with ``s`` parameters per layer (2 with cost
+unitaries, else 1) layer ``k`` has its mixer angle at ``params[s k + s - 1]``
+(see :class:`Ansatz`). Their growth loops share one record and trace path
+(:class:`_Growth`).
+
 After every growth step all parameters are re-optimized by BFGS (Nocedal &
 Wright, *Numerical Optimization*, 2nd ed., Alg. 6.1) with a strong-Wolfe
 line search (Algs. 3.5/3.6), fed by the exact value and gradient of one
@@ -42,7 +48,6 @@ import numpy as np
 from .models import GibbsTarget, HermitianOperator
 from .objective import ObjectiveContext, objective
 from .simcore import (
-    DensityMatrix,
     PauliString,
     StateVector,
     apply_cnot,
@@ -263,9 +268,14 @@ def singlet_reference_state(n_data: int) -> StateVector:
 class Ansatz:
     """A reference state plus an ordered list of parameterized layers.
 
+    Every layer is an optional cost unitary followed by the rotation of its
+    generator. A ``vqe`` generator is a layer without a cost unitary, so
     ``vqe`` flavor stores one rotation angle per generator. ``qaoa`` and
     ``baseline`` flavors interleave parameters as
-    ``[gamma_1, alpha_1, ..., gamma_n, alpha_n]`` and require
+    ``[gamma_1, alpha_1, ..., gamma_n, alpha_n]``. With ``s`` parameters per
+    layer (:attr:`_stride`), layer ``k`` (counted from 0) has its mixer angle
+    at ``params[s k + s - 1]`` and its cost angle at ``params[s k + s - 2]``.
+    The layered flavors require
     ``cost_operator`` to be the problem Hamiltonian mirrored onto both
     registers, ``H (x) 1 + 1 (x) H`` with ``n_ancilla == n_data``: its terms
     are ``H``'s data-register terms followed by the same terms shifted onto
@@ -322,8 +332,13 @@ class Ansatz:
         return len(self.generators)
 
     @property
+    def _stride(self) -> int:
+        """Parameters per layer: 2 with a cost unitary (``vqe``: none), else 1."""
+        return 1 if self.flavor == "vqe" else 2
+
+    @property
     def parameter_count(self) -> int:
-        return (2 if self.flavor != "vqe" else 1) * self.n_layers
+        return self._stride * self.n_layers
 
     def prepare(self, params: np.ndarray | None = None) -> StateVector:
         """Build the full state for the given (or stored) parameters."""
@@ -391,16 +406,15 @@ class Ansatz:
         self, params: np.ndarray, cost_unitaries: list[np.ndarray] | None = None
     ) -> np.ndarray:
         """Final amplitudes, given or building :meth:`_cost_unitaries` of ``params``."""
-        amps = self.reference.amplitudes
-        if self.flavor == "vqe":
-            for op, theta in zip(self.generators, params):
-                amps = pauli_rotate_raw(amps, *self._tables(op.pauli), theta)
-            return amps
         if cost_unitaries is None:
             cost_unitaries = self._cost_unitaries(params)
-        for k, op in enumerate(self.generators):
-            amps = _apply_cost(amps, cost_unitaries[k])
-            alpha = params[2 * k + 1]
+        amps = self.reference.amplitudes
+        s = self._stride
+        # Mixer angles as Python floats: per gate they cost less than numpy scalars.
+        alphas = params[s - 1 :: s].tolist()
+        for k, (op, alpha) in enumerate(zip(self.generators, alphas)):
+            if cost_unitaries:
+                amps = _apply_cost(amps, cost_unitaries[k])
             offset, factors = op.involutions
             for c, word in factors:
                 amps = pauli_rotate_raw(amps, *self._tables(word), alpha * c)
@@ -472,40 +486,39 @@ def ansatz_value_and_gradient(
     (:meth:`Ansatz._cost_unitary`): the forward build applies it, and the
     reverse pass applies its adjoint to both ``psi`` and ``lam`` and reads
     the gamma-derivative as ``-Im vdot(Lam, H Psi + Psi H^T)`` on the
-    amplitude blocks. No other exponential runs. A mixer
-    is un-applied factor by factor in the form of
-    :attr:`PoolOperator.involutions`, so the entangler takes one SWAP
-    rotation per data/ancilla pair. The result equals the parameter-shift
-    rule of :mod:`gibbsprep.objective`, which unrolls every generator into
-    single Pauli words and which the tests and ``gradcheck`` use as the
-    oracle.
+    amplitude blocks. No other exponential runs. A mixer, or a ``vqe``
+    rotation (a layer without a cost unitary), is un-applied factor by
+    factor in the form of :attr:`PoolOperator.involutions`, so the
+    entangler takes one SWAP rotation per data/ancilla pair. The result
+    equals the parameter-shift rule of :mod:`gibbsprep.objective`, which
+    unrolls every generator into single Pauli words and which the tests
+    and ``gradcheck`` use as the oracle.
     """
     params = np.asarray(params, dtype=np.float64)
     cost_unitaries = ansatz._cost_unitaries(params)
     psi = ansatz._build_raw(params, cost_unitaries)
     value, lam = _value_and_costate(psi, ctx, ansatz.n_ancilla)
     grad = np.zeros(ansatz.parameter_count)
-    if ansatz.flavor == "vqe":
-        for k in reversed(range(ansatz.n_layers)):
-            tables = ansatz._tables(ansatz.generators[k].pauli)
-            inner, psi, lam = _unrotate(psi, lam, tables, params[k])
-            grad[k] = -2.0 * inner.imag
-        return value, grad
+    s = ansatz._stride
+    alphas = params[s - 1 :: s].tolist()
     for k in reversed(range(ansatz.n_layers)):
-        alpha = params[2 * k + 1]
         # The factors commute, so they can be un-applied in any order. The
         # phase exp(i alpha offset) scales psi and lam alike, so it cancels in
         # every <lam|.|psi>; its own term -2 offset Im<lam|psi> is zero, since
         # <lam|psi> = <psi|(rho - T) x 1_A|psi> is real.
         _, factors = ansatz.generators[k].involutions
+        d_alpha = 0.0
         for c, word in factors:
-            inner, psi, lam = _unrotate(psi, lam, ansatz._tables(word), alpha * c)
-            grad[2 * k + 1] -= 2.0 * c * inner.imag
-        grad[2 * k] = -ansatz._cost_inner(psi, lam).imag
-        forward = cost_unitaries[k]
-        inverse = forward.conj() if forward.ndim == 1 else forward.conj().T
-        psi = _apply_cost(psi, inverse)
-        lam = _apply_cost(lam, inverse)
+            tables = ansatz._tables(word)
+            inner, psi, lam = _unrotate(psi, lam, tables, alphas[k] * c)
+            d_alpha -= 2.0 * c * inner.imag
+        grad[s * k + s - 1] = d_alpha
+        if cost_unitaries:
+            grad[s * k + s - 2] = -ansatz._cost_inner(psi, lam).imag
+            forward = cost_unitaries[k]
+            inverse = forward.conj() if forward.ndim == 1 else forward.conj().T
+            psi = _apply_cost(psi, inverse)
+            lam = _apply_cost(lam, inverse)
     return value, grad
 
 
@@ -667,21 +680,7 @@ class AdaptTrace:
     pool_gradient_history: list[list[float]] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "flavor": self.flavor,
-            "seed": self.seed,
-            "gamma0": self.gamma0,
-            "termination": self.termination,
-            "generator_labels": list(self.generator_labels),
-            "final_parameters": list(self.final_parameters),
-            "final_objective": self.final_objective,
-            "final_fidelity": self.final_fidelity,
-            "final_pool_gradient_norm": self.final_pool_gradient_norm,
-            "reference_spec": self.reference_spec,
-            "metadata": self.metadata,
-            "records": [asdict(r) for r in self.records],
-            "pool_gradient_history": self.pool_gradient_history,
-        }
+        return asdict(self)
 
     def comparable_dict(self) -> dict:
         """Trace content with wall-clock timing stripped (for determinism checks)."""
@@ -742,15 +741,6 @@ class QaoaSettings(_PoolSettings):
     def __post_init__(self):
         if not 0 <= self.layer_budget <= MAX_QAOA_LAYERS:
             raise ValueError(f"layer budget must be in [0, {MAX_QAOA_LAYERS}]")
-
-
-def _trace_metadata(ansatz: Ansatz) -> dict:
-    return {
-        "n_data": ansatz.n_data,
-        "n_ancilla": ansatz.n_ancilla,
-        "layer_order": "first listed layer applied first",
-        "cnot_convention": CNOT_CONVENTION,
-    }
 
 
 @lru_cache(maxsize=None)
@@ -849,6 +839,105 @@ def _argmax_with_ties(gradients: np.ndarray) -> int:
     raise AssertionError("unreachable")
 
 
+class _Growth:
+    """Records and trace of one growth loop, shared by both ansatz families.
+
+    Made with the reference-only ansatz, it records step 0 at once. The
+    loop then runs :meth:`scan` (unless its mixer is fixed) and :meth:`step`
+    once per growth step, and :meth:`trace` at the end.
+    """
+
+    def __init__(
+        self,
+        ansatz: Ansatz,
+        settings: VqeSettings | QaoaSettings,
+        ctx: ObjectiveContext,
+        fidelity_target: GibbsTarget,
+    ):
+        self.ansatz, self.settings, self.ctx = ansatz, settings, ctx
+        self.target_dm = fidelity_target.as_density_matrix()
+        self.history = [] if settings.record_pool_gradients else None
+        self.pool_norm: float | None = None
+        t0 = time.perf_counter()
+        rho = partial_trace_ancilla(ansatz.prepare())
+        obj, fid = objective(rho, ctx), fidelity(rho, self.target_dm)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        self.records = [
+            IterationRecord(0, None, None, None, obj, fid, cnot_count(ansatz), wall_ms)
+        ]
+
+    def scan(self, state: StateVector) -> tuple[PoolOperator, float]:
+        """The pool's largest-|gradient| generator at ``state``, with its gradient.
+
+        The pool-gradient norm is kept as ``pool_norm``, the gradients in
+        the history if the settings record it.
+        """
+        pool = self.settings.pool
+        gradients = _pool_scan(state, pool, self.ctx, self.settings.pool_groups)
+        if self.history is not None:
+            self.history.append([float(g) for g in gradients])
+        self.pool_norm = float(np.linalg.norm(gradients))
+        best = _argmax_with_ties(gradients)
+        return pool[best], float(gradients[best])
+
+    def step(
+        self,
+        t0: float,
+        chosen: PoolOperator,
+        selection_gradient: float | None,
+        new_parameters: tuple[float, ...],
+    ) -> IterationRecord:
+        """Append ``chosen``, re-optimize, and record the step from ``t0`` on.
+
+        BFGS starts at the last optimum extended by ``new_parameters``.
+        """
+        ansatz = self.ansatz
+        ansatz.generators.append(chosen)
+        init = np.concatenate([ansatz.parameters, new_parameters])
+        result = optimize_fixed_ansatz(ansatz, self.ctx, init)
+        ansatz.parameters = result.parameters
+        rho = partial_trace_ancilla(ansatz.prepare())
+        self.records.append(
+            IterationRecord(
+                len(self.records),
+                chosen.label,
+                selection_gradient,
+                self.pool_norm,
+                result.objective,
+                fidelity(rho, self.target_dm),
+                cnot_count(ansatz),
+                (time.perf_counter() - t0) * 1e3,
+                result.iterations,
+                result.evaluations,
+                result.converged,
+            )
+        )
+        return self.records[-1]
+
+    def trace(self, seed: int, gamma0: float | None, termination: str) -> AdaptTrace:
+        ansatz, last = self.ansatz, self.records[-1]
+        return AdaptTrace(
+            flavor=ansatz.flavor,
+            seed=seed,
+            gamma0=gamma0,
+            records=self.records,
+            termination=termination,
+            generator_labels=[op.label for op in ansatz.generators],
+            final_parameters=[float(p) for p in ansatz.parameters],
+            final_objective=last.objective,
+            final_fidelity=last.fidelity,
+            final_pool_gradient_norm=self.pool_norm,
+            reference_spec=ansatz.reference_spec,
+            metadata={
+                "n_data": ansatz.n_data,
+                "n_ancilla": ansatz.n_ancilla,
+                "layer_order": "first listed layer applied first",
+                "cnot_convention": CNOT_CONVENTION,
+            },
+            pool_gradient_history=self.history,
+        )
+
+
 def adapt_vqe_run(
     settings: VqeSettings,
     ctx: ObjectiveContext,
@@ -871,87 +960,25 @@ def adapt_vqe_run(
         reference=reference,
         reference_spec={"kind": "random_y", "angles": [float(a) for a in angles]},
     )
-    target_dm = fidelity_target.as_density_matrix()
-    params = np.zeros(0)
-    cnots = ctx.n_data * ctx.n_ancilla
-
-    t0 = time.perf_counter()
-    state = ansatz.prepare(params)
-    obj = objective(partial_trace_ancilla(state), ctx)
-    fid = fidelity(partial_trace_ancilla(state), target_dm)
-    records = [
-        IterationRecord(
-            0, None, None, None, obj, fid, cnots, (time.perf_counter() - t0) * 1e3
-        )
-    ]
-    history: list[list[float]] | None = (
-        [] if settings.record_pool_gradients else None
-    )
-
+    growth = _Growth(ansatz, settings, ctx, fidelity_target)
     termination = "max_iters"
-    pool_norm = None
     stall_count = 0
-    prev_objective = obj
-    for iteration in range(1, settings.max_iterations + 1):
+    for _ in range(settings.max_iterations):
         t0 = time.perf_counter()
-        state = ansatz.prepare(params)
-        gradients = _pool_scan(state, settings.pool, ctx, settings.pool_groups)
-        if history is not None:
-            history.append([float(g) for g in gradients])
-        pool_norm = float(np.linalg.norm(gradients))
-        if pool_norm < settings.epsilon:
+        chosen, gradient = growth.scan(ansatz.prepare())
+        if growth.pool_norm < settings.epsilon:
             termination = "threshold"
             break
-        chosen = _argmax_with_ties(gradients)
-        ansatz.generators.append(settings.pool[chosen])
-        cnots += settings.pool[chosen].cnot_cost
-        init = np.append(params, 0.0)
-        result = optimize_fixed_ansatz(ansatz, ctx, init)
-        params = result.parameters
-        ansatz.parameters = params
-        state = ansatz.prepare(params)
-        fid = fidelity(partial_trace_ancilla(state), target_dm)
-        records.append(
-            IterationRecord(
-                iteration,
-                settings.pool[chosen].label,
-                float(gradients[chosen]),
-                pool_norm,
-                result.objective,
-                fid,
-                cnots,
-                (time.perf_counter() - t0) * 1e3,
-                result.iterations,
-                result.evaluations,
-                result.converged,
-            )
-        )
-        if prev_objective - result.objective < STALL_IMPROVEMENT:
+        previous = growth.records[-1].objective
+        record = growth.step(t0, chosen, gradient, (0.0,))
+        if previous - record.objective < STALL_IMPROVEMENT:
             stall_count += 1
             if stall_count >= STALL_LIMIT:
                 termination = "stalled"
                 break
         else:
             stall_count = 0
-        prev_objective = result.objective
-
-    ansatz.parameters = params
-    trace = AdaptTrace(
-        flavor="vqe",
-        seed=seed,
-        gamma0=None,
-        records=records,
-        termination=termination,
-        generator_labels=[op.label for op in ansatz.generators],
-        final_parameters=[float(p) for p in params],
-        final_objective=records[-1].objective,
-        final_fidelity=records[-1].fidelity,
-        final_pool_gradient_norm=pool_norm,
-        reference_spec=ansatz.reference_spec,
-        metadata=_trace_metadata(ansatz),
-        pool_gradient_history=history,
-    )
-    return ansatz, trace
+    return ansatz, growth.trace(seed, None, termination)
 
 
 def _grow_layered_ansatz(
@@ -973,86 +1000,19 @@ def _grow_layered_ansatz(
         reference_spec={"kind": "singlet"},
         cost_operator=settings.cost_operator,
     )
-    target_dm = fidelity_target.as_density_matrix()
     entangler = settings.pool[-1]
     if not select and entangler.kind != "sum_entangler":
         raise ValueError("baseline runs need the entangler in the pool")
-    params = np.zeros(0)
-    per_cost = _cost_layer_cnots(ansatz)
-    cnots = ctx.n_data
-
-    t0 = time.perf_counter()
-    state = ansatz.prepare(params)
-    obj = objective(partial_trace_ancilla(state), ctx)
-    fid = fidelity(partial_trace_ancilla(state), target_dm)
-    records = [
-        IterationRecord(
-            0, None, None, None, obj, fid, cnots, (time.perf_counter() - t0) * 1e3
-        )
-    ]
-    history: list[list[float]] | None = (
-        [] if settings.record_pool_gradients else None
-    )
-
-    pool_norm = None
-    for layer in range(1, settings.layer_budget + 1):
+    growth = _Growth(ansatz, settings, ctx, fidelity_target)
+    for _ in range(settings.layer_budget):
         t0 = time.perf_counter()
-        selection_gradient = None
+        chosen, gradient = entangler, None
         if select:
-            scan_raw = ansatz._apply_cost_raw(ansatz._build_raw(params), gamma0)
-            scan_state = ansatz.reference.with_amplitudes(scan_raw)
-            gradients = _pool_scan(
-                scan_state, settings.pool, ctx, settings.pool_groups
-            )
-            if history is not None:
-                history.append([float(g) for g in gradients])
-            pool_norm = float(np.linalg.norm(gradients))
-            chosen_index = _argmax_with_ties(gradients)
-            chosen = settings.pool[chosen_index]
-            selection_gradient = float(gradients[chosen_index])
-        else:
-            chosen = entangler
-        ansatz.generators.append(chosen)
-        cnots += per_cost + chosen.cnot_cost
-        init = np.concatenate([params, [gamma0, 0.0]])
-        result = optimize_fixed_ansatz(ansatz, ctx, init)
-        params = result.parameters
-        ansatz.parameters = params
-        state = ansatz.prepare(params)
-        fid = fidelity(partial_trace_ancilla(state), target_dm)
-        records.append(
-            IterationRecord(
-                layer,
-                chosen.label,
-                selection_gradient,
-                pool_norm,
-                result.objective,
-                fid,
-                cnots,
-                (time.perf_counter() - t0) * 1e3,
-                result.iterations,
-                result.evaluations,
-                result.converged,
-            )
-        )
-
-    ansatz.parameters = params
-    trace = AdaptTrace(
-        flavor=flavor,
-        seed=seed,
-        gamma0=float(gamma0),
-        records=records,
-        termination="max_iters",
-        generator_labels=[op.label for op in ansatz.generators],
-        final_parameters=[float(p) for p in params],
-        final_objective=records[-1].objective,
-        final_fidelity=records[-1].fidelity,
-        final_pool_gradient_norm=pool_norm,
-        reference_spec=ansatz.reference_spec,
-        metadata=_trace_metadata(ansatz),
-        pool_gradient_history=history,
-    )
-    return ansatz, trace
+            # Candidates are ranked on top of the new layer's cost unitary at gamma0.
+            raw = ansatz._apply_cost_raw(ansatz._build_raw(ansatz.parameters), gamma0)
+            chosen, gradient = growth.scan(ansatz.reference.with_amplitudes(raw))
+        growth.step(t0, chosen, gradient, (gamma0, 0.0))
+    return ansatz, growth.trace(seed, float(gamma0), "max_iters")
 
 
 def adapt_qaoa_run(

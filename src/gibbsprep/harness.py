@@ -24,6 +24,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -248,6 +249,11 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _format_value(value) -> str:
+    """A CSV or series field: a float by :func:`format_float`, anything else by str."""
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
 @dataclass(frozen=True)
 class ResultRecord:
     run_id: str
@@ -276,24 +282,11 @@ class ResultRecord:
             )
 
     def to_csv_row(self) -> str:
-        values = (
-            self.run_id,
-            self.config_hash,
-            self.model,
-            str(self.n_data),
-            str(self.n_ancilla),
-            format_float(self.beta_inv),
-            self.truncation,
-            str(self.seed),
-            str(self.iteration_index),
-            format_float(self.objective),
-            format_float(self.fidelity),
-            format_float(self.pool_grad_norm),
-            str(self.cnot_count),
-            format_float(self.max_fidelity_bound),
-            format_float(self.wall_ms),
-        )
-        return ",".join(values)
+        return ",".join(_format_value(getattr(self, c)) for c in CSV_COLUMNS)
+
+
+# The field types of ResultRecord parse its CSV columns back (_read_csv).
+_COLUMN_TYPES = get_type_hints(ResultRecord)
 
 
 @dataclass
@@ -690,16 +683,9 @@ def _read_csv(csv_path: Path) -> list[dict]:
         raise ConfigError(f"{csv_path} is missing columns: {missing}")
     rows = []
     for line in lines[1:]:
-        parts = line.split(",")
-        row = dict(zip(header, parts))
-        row["n_data"] = int(row["n_data"])
-        row["n_ancilla"] = int(row["n_ancilla"])
-        row["beta_inv"] = float(row["beta_inv"])
-        row["fidelity"] = float(row["fidelity"])
-        row["cnot_count"] = int(row["cnot_count"])
-        row["max_fidelity_bound"] = float(row["max_fidelity_bound"])
-        row["iteration_index"] = int(row["iteration_index"])
-        row["seed"] = int(row["seed"])
+        row = dict(zip(header, line.split(",")))
+        for column in CSV_COLUMNS:
+            row[column] = _COLUMN_TYPES[column](row[column])
         row["algorithm"] = row["run_id"].split("_", 1)[0]
         rows.append(row)
     if not rows:
@@ -710,11 +696,7 @@ def _read_csv(csv_path: Path) -> list[dict]:
 def _write_series(path: Path, header: str, rows: list[tuple]) -> Path:
     lines = [f"# {header}"]
     for row in rows:
-        lines.append(
-            " ".join(
-                format_float(v) if isinstance(v, float) else str(v) for v in row
-            )
-        )
+        lines.append(" ".join(_format_value(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return path
 

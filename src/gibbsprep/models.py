@@ -82,21 +82,6 @@ class HermitianOperator:
         """Ascending eigenvalues and the matching orthonormal eigenvectors."""
         return self._eigensystem
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """H @ amplitudes without forming the dense matrix."""
-        out = np.zeros_like(amplitudes, dtype=np.complex128)
-        for c, p in self.terms:
-            source, phase = pauli_action_tables(self.n_qubits, p.support, p.letters)
-            out += c * (phase * amplitudes[source])
-        return out
-
-    def expectation(self, amplitudes: np.ndarray) -> float:
-        return float(np.vdot(amplitudes, self.apply(amplitudes)).real)
-
-    def spectral_norm(self) -> float:
-        values, _ = self.eigensystem()
-        return float(np.abs(values).max())
-
     def terms_commute(self) -> bool:
         """True iff all Pauli terms mutually commute."""
         words = [p for _, p in self.terms]

@@ -125,14 +125,13 @@ def sum_generator_gradient(
     state: StateVector,
     operator: HermitianOperator,
     ctx: ObjectiveContext,
-    validate: bool = True,
 ) -> float:
     """Gradient for appending ``exp(i alpha H)`` with H a commuting Pauli sum.
 
     Because the terms commute, the exponential factorizes and the derivative
     is the coefficient-weighted sum of per-term candidate gradients.
     """
-    if validate and not operator.terms_commute():
+    if not operator.terms_commute():
         raise ValueError("generator terms do not mutually commute")
     return float(
         sum(c * candidate_gradient(state, p, ctx) for c, p in operator.terms)

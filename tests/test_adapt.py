@@ -36,6 +36,7 @@ from gibbsprep import (
 from gibbsprep.adapt import (
     DEFAULT_QAOA_RESTARTS,
     DEFAULT_VQE_RESTARTS,
+    ENTANGLER_LABEL,
     TIE_TOLERANCE,
     AdaptTrace,
     IterationRecord,
@@ -131,7 +132,9 @@ class TestReferenceStates:
         for n in (1, 2, 3):
             state = singlet_reference_state(n)
             h_ad = entangling_hamiltonian(n)
-            assert abs(h_ad.expectation(state.amplitudes) + 3 * n) < 1e-10
+            amps = state.amplitudes
+            energy = np.vdot(amps, dense_operator(h_ad) @ amps).real
+            assert abs(energy + 3 * n) < 1e-10
 
     def test_singlet_reduces_to_maximally_mixed(self):
         rho = partial_trace_ancilla(singlet_reference_state(2))
@@ -816,6 +819,53 @@ def test_records_carry_optimizer_work(monkeypatch, flavor):
     ]
     stripped = trace.comparable_dict()["records"][1]
     assert set(record) - set(stripped) == {"wall_ms"}
+
+
+# One fixed-seed growth run per flavor: labels, termination and CNOT counts
+# exactly, objective and fidelity to 1e-9 (numpy versions may round apart).
+LAYERED_RECORDS = [
+    (2, -0.125, 0.6329011144170399),
+    (12, -0.24116864689335432, 0.9999999999999969),
+    (22, -0.24116864689335432, 0.9999999999999969),
+]
+PINNED_RUNS = {
+    "vqe": (
+        ["Y0Z1", "Z0Y2", "Y1Z2", "Y1X2", "Y0Z1", "Z0Y1"],
+        "threshold",
+        [
+            (2, 0.27451411879096277, 0.21665458695389025),
+            (4, -0.0785646111211511, 0.7816128308799385),
+            (6, -0.08383824203520873, 0.7902397136127999),
+            (8, -0.08461501074479583, 0.7913438662549387),
+            (10, -0.11945679086567279, 0.7166399573903007),
+            (12, -0.24053418638294455, 0.9810681643981575),
+            (14, -0.24100689501895425, 0.9820137900379082),
+        ],
+    ),
+    "qaoa": ([ENTANGLER_LABEL] * 2, "max_iters", LAYERED_RECORDS),
+    "baseline": ([ENTANGLER_LABEL] * 2, "max_iters", LAYERED_RECORDS),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(PINNED_RUNS))
+def test_growth_runs_match_pinned_values(flavor):
+    target = gibbs_state(ising_hamiltonian(2), 1.0)
+    if flavor == "vqe":
+        settings = VqeSettings(pool=build_vqe_pool(3), epsilon=1e-3)
+        ctx = ObjectiveContext(target, 2, 1)
+        _, trace = adapt_vqe_run(settings, ctx, target, seed=3)
+    else:
+        ctx = ObjectiveContext(target, 2, 2)
+        run = adapt_qaoa_run if flavor == "qaoa" else baseline_qaoa_run
+        _, trace = run(qaoa_settings(2, 2), ctx, target, gamma0=0.9, seed=8)
+    labels, termination, records = PINNED_RUNS[flavor]
+    assert trace.generator_labels == labels
+    assert trace.termination == termination
+    assert [r.index for r in trace.records] == list(range(len(records)))
+    assert [r.cnot_count for r in trace.records] == [c for c, _, _ in records]
+    for record, (_, obj, fid) in zip(trace.records, records):
+        assert abs(record.objective - obj) < 1e-9
+        assert abs(record.fidelity - fid) < 1e-9
 
 
 class TestRestartPostselect:

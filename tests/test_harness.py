@@ -1,6 +1,8 @@
 """Config parsing, seed scheme, sweeps, CSV persistence, plot-data emission."""
 
 import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,29 @@ class TestResultRecord:
     def test_row_uses_17_significant_digits(self):
         row = self._record(objective=-1 / 3).to_csv_row()
         assert "-0.33333333333333331" in row
+
+    @pytest.mark.parametrize("pool_grad_norm", [1e-4, float("nan")])
+    def test_row_reads_back_bit_exactly(self, tmp_path, pool_grad_norm):
+        from gibbsprep.harness import _read_csv
+
+        record = self._record(
+            beta_inv=0.1 + 0.2,
+            objective=-1 / 3,
+            fidelity=0.97 * (1 + 2**-52),
+            pool_grad_norm=pool_grad_norm,
+            max_fidelity_bound=math.pi / 3.2,
+            wall_ms=1e-300 / 3,
+        )
+        path = tmp_path / "results.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + record.to_csv_row() + "\n")
+        (row,) = _read_csv(path)
+        for column in CSV_COLUMNS:
+            written, read = getattr(record, column), row[column]
+            assert type(read) is type(written), column
+            if isinstance(written, float):
+                assert struct.pack("<d", read) == struct.pack("<d", written), column
+            else:
+                assert read == written, column
 
 
 class TestRunSweep:
