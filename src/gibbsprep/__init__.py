@@ -27,7 +27,6 @@ from .models import (
     GibbsTarget,
     HermitianOperator,
     entangling_hamiltonian,
-    free_energy,
     gibbs_state,
     ising_hamiltonian,
     joint_problem_hamiltonian,
@@ -47,12 +46,10 @@ from .simcore import (
     DensityMatrix,
     PauliString,
     StateVector,
-    apply_pauli,
     fidelity,
     partial_trace_ancilla,
     pauli_rotation,
     purity,
-    von_neumann_entropy,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +68,6 @@ __all__ = [
     "StateVector",
     "adapt_qaoa_run",
     "adapt_vqe_run",
-    "apply_pauli",
     "auxiliary_objective",
     "baseline_qaoa_run",
     "build_qaoa_pool",
@@ -80,7 +76,6 @@ __all__ = [
     "cnot_count",
     "entangling_hamiltonian",
     "fidelity",
-    "free_energy",
     "gibbs_state",
     "ising_hamiltonian",
     "joint_problem_hamiltonian",
@@ -95,7 +90,6 @@ __all__ = [
     "singlet_reference_state",
     "sum_generator_gradient",
     "truncated_target",
-    "von_neumann_entropy",
     "vqe_reference_state",
     "xy_hamiltonian",
 ]

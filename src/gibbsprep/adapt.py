@@ -844,7 +844,9 @@ class _Growth:
 
     Made with the reference-only ansatz, it records step 0 at once. The
     loop then runs :meth:`scan` (unless its mixer is fixed) and :meth:`step`
-    once per growth step, and :meth:`trace` at the end.
+    once per growth step, and :meth:`trace` at the end. ``state`` is the
+    ansatz's prepared state after the last recorded step, which the next
+    scan starts from.
     """
 
     def __init__(
@@ -859,7 +861,8 @@ class _Growth:
         self.history = [] if settings.record_pool_gradients else None
         self.pool_norm: float | None = None
         t0 = time.perf_counter()
-        rho = partial_trace_ancilla(ansatz.prepare())
+        self.state = ansatz.prepare()
+        rho = partial_trace_ancilla(self.state)
         obj, fid = objective(rho, ctx), fidelity(rho, self.target_dm)
         wall_ms = (time.perf_counter() - t0) * 1e3
         self.records = [
@@ -896,7 +899,8 @@ class _Growth:
         init = np.concatenate([ansatz.parameters, new_parameters])
         result = optimize_fixed_ansatz(ansatz, self.ctx, init)
         ansatz.parameters = result.parameters
-        rho = partial_trace_ancilla(ansatz.prepare())
+        self.state = ansatz.prepare()
+        rho = partial_trace_ancilla(self.state)
         self.records.append(
             IterationRecord(
                 len(self.records),
@@ -965,7 +969,7 @@ def adapt_vqe_run(
     stall_count = 0
     for _ in range(settings.max_iterations):
         t0 = time.perf_counter()
-        chosen, gradient = growth.scan(ansatz.prepare())
+        chosen, gradient = growth.scan(growth.state)
         if growth.pool_norm < settings.epsilon:
             termination = "threshold"
             break
@@ -988,7 +992,6 @@ def _grow_layered_ansatz(
     gamma0: float,
     seed: int,
     flavor: str,
-    select: bool,
 ) -> tuple[Ansatz, AdaptTrace]:
     if not 0.0 <= gamma0 <= np.pi / 2:
         raise ValueError("gamma0 must lie in [0, pi/2]")
@@ -1000,6 +1003,7 @@ def _grow_layered_ansatz(
         reference_spec={"kind": "singlet"},
         cost_operator=settings.cost_operator,
     )
+    select = flavor == "qaoa"
     entangler = settings.pool[-1]
     if not select and entangler.kind != "sum_entangler":
         raise ValueError("baseline runs need the entangler in the pool")
@@ -1009,7 +1013,7 @@ def _grow_layered_ansatz(
         chosen, gradient = entangler, None
         if select:
             # Candidates are ranked on top of the new layer's cost unitary at gamma0.
-            raw = ansatz._apply_cost_raw(ansatz._build_raw(ansatz.parameters), gamma0)
+            raw = ansatz._apply_cost_raw(growth.state.amplitudes, gamma0)
             chosen, gradient = growth.scan(ansatz.reference.with_amplitudes(raw))
         growth.step(t0, chosen, gradient, (gamma0, 0.0))
     return ansatz, growth.trace(seed, float(gamma0), "max_iters")
@@ -1032,7 +1036,7 @@ def adapt_qaoa_run(
     objective is nonincreasing across layers.
     """
     return _grow_layered_ansatz(
-        settings, ctx, fidelity_target, gamma0, seed, "qaoa", select=True
+        settings, ctx, fidelity_target, gamma0, seed, "qaoa"
     )
 
 
@@ -1045,7 +1049,7 @@ def baseline_qaoa_run(
 ) -> tuple[Ansatz, AdaptTrace]:
     """Fixed-mixer comparison ansatz: every layer uses the pair entangler."""
     return _grow_layered_ansatz(
-        settings, ctx, fidelity_target, gamma0, seed, "baseline", select=False
+        settings, ctx, fidelity_target, gamma0, seed, "baseline"
     )
 
 

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .adapt import NumericalFailure
 from .harness import (
+    ALGORITHMS,
     ConfigError,
+    ExperimentConfig,
     build_config,
     emit_plot_data,
     format_float,
@@ -26,27 +29,10 @@ from .harness import (
     run_sweep,
 )
 
-_SWEEP_KEYS = (
-    "model",
-    "n_data",
-    "n_ancilla",
-    "beta_inv_list",
-    "epsilon",
-    "layer_budget",
-    "truncation",
-    "restarts",
-    "master_seed",
-    "workers",
+# Every config field but ``algorithm`` and ``out``, which are added on their own.
+_SWEEP_KEYS = tuple(
+    f.name for f in fields(ExperimentConfig) if f.name not in ("algorithm", "out")
 )
-
-
-def _add_sweep_arguments(parser: argparse.ArgumentParser, with_algorithm: bool):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="output directory for CSV and traces")
-    if with_algorithm:
-        parser.add_argument("--algorithm", choices=("vqe", "qaoa", "baseline"))
-    for key in _SWEEP_KEYS:
-        parser.add_argument(f"--{key}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,8 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
                 else f"run a sweep with algorithm={algorithm}"
             ),
         )
-        _add_sweep_arguments(p, with_algorithm=algorithm is None)
-        p.set_defaults(command_kind="sweep", forced_algorithm=algorithm)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help="output directory for CSV and traces")
+        if algorithm is None:
+            p.add_argument("--algorithm", choices=ALGORITHMS)
+        for key in _SWEEP_KEYS:
+            p.add_argument(f"--{key}")
+        # A pinned algorithm overrides the config file's, as any flag does.
+        p.set_defaults(command_kind="sweep", algorithm=algorithm)
 
     g = sub.add_parser(
         "gradcheck", help="shift rule vs finite differences, adjoint vs shift rule"
@@ -91,14 +83,10 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     raw: dict = {}
     if args.config:
         raw.update(parse_config_file(args.config))
-    for key in _SWEEP_KEYS + ("out",):
-        value = getattr(args, key, None)
+    for key in _SWEEP_KEYS + ("out", "algorithm"):
+        value = getattr(args, key)
         if value is not None:
             raw[key] = value
-    if args.forced_algorithm is not None:
-        raw["algorithm"] = args.forced_algorithm
-    elif getattr(args, "algorithm", None) is not None:
-        raw["algorithm"] = args.algorithm
     config = build_config(raw)
     records = run_sweep(config)
     for record in records:

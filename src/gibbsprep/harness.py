@@ -22,7 +22,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import get_type_hints
 
@@ -67,23 +68,6 @@ DEFAULT_VQE_BETA_INV_GRID = tuple(round(0.2 * k, 1) for k in range(1, 16))
 DEFAULT_QAOA_BETA_INV_GRID = (0.2, 0.6, 1.0, 1.2, 1.6, 2.0, 2.2, 2.6, 3.0)
 
 CSV_SCHEMA_COMMENT = "# gibbsprep results schema v1"
-CSV_COLUMNS = (
-    "run_id",
-    "config_hash",
-    "model",
-    "n_data",
-    "n_ancilla",
-    "beta_inv",
-    "truncation",
-    "seed",
-    "iteration_index",
-    "objective",
-    "fidelity",
-    "pool_grad_norm",
-    "cnot_count",
-    "max_fidelity_bound",
-    "wall_ms",
-)
 
 GRADCHECK_THRESHOLD = 1e-6  # shift rule vs central differences
 GRADCHECK_ENGINE_THRESHOLD = 1e-12  # adjoint engine vs shift rule
@@ -172,20 +156,11 @@ class ExperimentConfig:
                 )
 
     def config_hash(self) -> str:
-        """Short digest over all result-relevant fields (not out/workers)."""
+        """Short digest of one ``name=value`` line per field but out/workers."""
         payload = "\n".join(
-            [
-                f"model={self.model}",
-                f"n_data={self.n_data}",
-                f"n_ancilla={','.join(str(a) for a in self.n_ancilla)}",
-                f"beta_inv_list={','.join(format_float(b) for b in self.beta_inv_list)}",
-                f"algorithm={self.algorithm}",
-                f"epsilon={format_float(self.epsilon)}",
-                f"layer_budget={self.layer_budget}",
-                f"truncation={self.truncation}",
-                f"restarts={self.restarts}",
-                f"master_seed={self.master_seed}",
-            ]
+            f"{f.name}={_format_value(getattr(self, f.name))}"
+            for f in fields(self)
+            if f.name not in ("workers", "out")
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -222,17 +197,17 @@ def parse_config_file(path: str | Path) -> dict:
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Coerce raw string values (file or CLI) into a validated config."""
-    fields: dict = {}
+    parsed: dict = {}
     for key, value in raw.items():
         if value is None:
             continue
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            fields[key] = _CONFIG_PARSERS[key](value)
+            parsed[key] = _CONFIG_PARSERS[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
-    return ExperimentConfig(**fields).normalized()
+    return ExperimentConfig(**parsed).normalized()
 
 
 def cell_seed(
@@ -250,7 +225,9 @@ def format_float(x: float) -> str:
 
 
 def _format_value(value) -> str:
-    """A CSV or series field: a float by :func:`format_float`, anything else by str."""
+    """A CSV, series or config-hash value; floats by format_float, tuples by commas."""
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
     return format_float(value) if isinstance(value, float) else str(value)
 
 
@@ -284,6 +261,8 @@ class ResultRecord:
     def to_csv_row(self) -> str:
         return ",".join(_format_value(getattr(self, c)) for c in CSV_COLUMNS)
 
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
 
 # The field types of ResultRecord parse its CSV columns back (_read_csv).
 _COLUMN_TYPES = get_type_hints(ResultRecord)
@@ -693,6 +672,10 @@ def _read_csv(csv_path: Path) -> list[dict]:
     return rows
 
 
+# A panel's series files: file name -> (column header, rows), in write order.
+_Table = dict[str, tuple[str, list[tuple]]]
+
+
 def _write_series(path: Path, header: str, rows: list[tuple]) -> Path:
     lines = [f"# {header}"]
     for row in rows:
@@ -709,6 +692,101 @@ def _fixed_mixer_cnots(model: str, n_data: int) -> int:
     return n_data + layers * (2 * two_qubit_terms + 3 * n_data)
 
 
+def _columns(rows: list[dict], *columns: str) -> tuple[str, list[tuple]]:
+    """A series of CSV columns against ``beta_inv``: its header and sorted rows."""
+    columns = ("beta_inv",) + columns
+    return " ".join(columns), sorted(tuple(r[c] for c in columns) for r in rows)
+
+
+def _fig1(rows: list[dict], traces_dir: Path) -> _Table:
+    vqe_rows = [
+        r for r in rows if r["algorithm"] == "vqe" and r["truncation"] == "exact"
+    ]
+    if not vqe_rows:
+        raise ConfigError("fig1 needs exact-target vqe rows")
+    table: _Table = {}
+    for model in sorted({r["model"] for r in vqe_rows}):
+        model_rows = [r for r in vqe_rows if r["model"] == model]
+        for a in sorted({r["n_ancilla"] for r in model_rows}):
+            cell = [r for r in model_rows if r["n_ancilla"] == a]
+            table[f"{model}_fidelity_na{a}.dat"] = _columns(cell, "fidelity")
+            table[f"{model}_bound_na{a}.dat"] = _columns(cell, "max_fidelity_bound")
+        table[f"{model}_cnots.dat"] = _columns(model_rows, "n_ancilla", "cnot_count")
+        overlay = _fixed_mixer_cnots(model, model_rows[0]["n_data"])
+        table[f"{model}_fixed_mixer_cnots.dat"] = (
+            "beta_inv cnot_count",
+            [(b, overlay) for b in sorted({r["beta_inv"] for r in model_rows})],
+        )
+    return table
+
+
+def _truncation_suffix(row: dict) -> str:
+    return "" if row["truncation"] == "exact" else f"_m{row['truncation']}"
+
+
+def _fig2(rows: list[dict], traces_dir: Path) -> _Table:
+    rows = sorted(rows, key=lambda r: r["beta_inv"])
+    qaoa_rows = [r for r in rows if r["algorithm"] == "qaoa"]
+    if not qaoa_rows:
+        raise ConfigError("fig2 needs qaoa rows")
+    # Truncated rows are named as in fig3; a name two rows share is refused.
+    names = [
+        f"qaoa_fidelity_binv{r['beta_inv']:g}{_truncation_suffix(r)}.dat"
+        for r in qaoa_rows
+    ]
+    shared = sorted({n for n in names if names.count(n) > 1})
+    if shared:
+        raise ConfigError(
+            f"several qaoa rows map to {shared}; emit their sweeps separately"
+        )
+    table: _Table = {}
+    # One CNOT series per algorithm and truncation order, named like the above:
+    # the CNOTs of the first record that reaches CONVERGED_FIDELITY.
+    to_target: dict[str, list[tuple]] = {}
+    baseline_rows = [r for r in rows if r["algorithm"] == "baseline"]
+    for row, name in zip_longest(qaoa_rows + baseline_rows, names):
+        records = _load_postselected_trace(traces_dir, row)["records"]
+        if name is not None:
+            table[name] = (
+                "layer fidelity",
+                [(rec["index"], rec["fidelity"]) for rec in records],
+            )
+        reached = [
+            r["cnot_count"] for r in records if r["fidelity"] >= CONVERGED_FIDELITY
+        ]
+        if reached:
+            stem = f"{row['algorithm']}_cnots_to_target{_truncation_suffix(row)}"
+            to_target.setdefault(f"{stem}.dat", []).append(
+                (row["beta_inv"], reached[0])
+            )
+    header = f"beta_inv cnot_count_to_fidelity_{CONVERGED_FIDELITY}"
+    table.update((name, (header, series)) for name, series in to_target.items())
+    return table
+
+
+def _fig3(rows: list[dict], traces_dir: Path) -> _Table:
+    vqe_rows = [r for r in rows if r["algorithm"] == "vqe"]
+    if not vqe_rows:
+        raise ConfigError("fig3 needs vqe rows")
+    table: _Table = {}
+    for model in sorted({r["model"] for r in vqe_rows}):
+        model_rows = [r for r in vqe_rows if r["model"] == model]
+        for trunc in sorted({r["truncation"] for r in model_rows}):
+            suffix = "minf" if trunc == "exact" else f"m{trunc}"
+            table[f"{model}_infidelity_{suffix}.dat"] = (
+                "beta_inv infidelity",
+                sorted(
+                    (r["beta_inv"], max(1.0 - r["fidelity"], INFIDELITY_FLOOR))
+                    for r in model_rows
+                    if r["truncation"] == trunc
+                ),
+            )
+    return table
+
+
+_PANELS = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3}
+
+
 def emit_plot_data(
     csv_path: str | Path, panel: str, out_dir: str | Path
 ) -> list[Path]:
@@ -721,152 +799,22 @@ def emit_plot_data(
     99% fidelity vs temperature.
     ``fig3``: per model and truncation order, infidelity vs temperature,
     with ``exact`` rows emitted as the untruncated series.
+
+    The panel's whole table is computed before ``out_dir`` is made, so a
+    panel that fails (no matching rows, a missing trace, a file name two
+    rows share) writes nothing. Returns the written paths in write order.
     """
     csv_path = Path(csv_path)
-    out_dir = Path(out_dir)
     rows = _read_csv(csv_path)
+    if panel not in _PANELS:
+        raise ConfigError(f"unknown panel {panel!r}; expected fig1, fig2 or fig3")
+    table = _PANELS[panel](rows, csv_path.parent / "traces")
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    if panel == "fig1":
-        vqe_rows = [
-            r for r in rows if r["algorithm"] == "vqe" and r["truncation"] == "exact"
-        ]
-        if not vqe_rows:
-            raise ConfigError("fig1 needs exact-target vqe rows")
-        for model in sorted({r["model"] for r in vqe_rows}):
-            model_rows = [r for r in vqe_rows if r["model"] == model]
-            ancillas = sorted({r["n_ancilla"] for r in model_rows})
-            for a in ancillas:
-                series = sorted(
-                    (r["beta_inv"], r["fidelity"])
-                    for r in model_rows
-                    if r["n_ancilla"] == a
-                )
-                written.append(
-                    _write_series(
-                        out_dir / f"{model}_fidelity_na{a}.dat",
-                        "beta_inv fidelity",
-                        series,
-                    )
-                )
-                bound_series = sorted(
-                    (r["beta_inv"], r["max_fidelity_bound"])
-                    for r in model_rows
-                    if r["n_ancilla"] == a
-                )
-                written.append(
-                    _write_series(
-                        out_dir / f"{model}_bound_na{a}.dat",
-                        "beta_inv max_fidelity_bound",
-                        bound_series,
-                    )
-                )
-            cnot_series = sorted(
-                (r["beta_inv"], r["n_ancilla"], r["cnot_count"])
-                for r in model_rows
-            )
-            written.append(
-                _write_series(
-                    out_dir / f"{model}_cnots.dat",
-                    "beta_inv n_ancilla cnot_count",
-                    cnot_series,
-                )
-            )
-            n_data = model_rows[0]["n_data"]
-            overlay = _fixed_mixer_cnots(model, n_data)
-            betas = sorted({r["beta_inv"] for r in model_rows})
-            written.append(
-                _write_series(
-                    out_dir / f"{model}_fixed_mixer_cnots.dat",
-                    "beta_inv cnot_count",
-                    [(b, overlay) for b in betas],
-                )
-            )
-        return written
-
-    if panel == "fig2":
-        traces_dir = csv_path.parent / "traces"
-        qaoa_rows = [r for r in rows if r["algorithm"] == "qaoa"]
-        if not qaoa_rows:
-            raise ConfigError("fig2 needs qaoa rows")
-        qaoa_rows.sort(key=lambda r: r["beta_inv"])
-
-        def suffix(row: dict) -> str:
-            return "" if row["truncation"] == "exact" else f"_m{row['truncation']}"
-
-        # Truncated rows are named as in fig3; a name two rows share is refused.
-        names = [
-            f"qaoa_fidelity_binv{r['beta_inv']:g}{suffix(r)}.dat" for r in qaoa_rows
-        ]
-        shared = sorted({n for n in names if names.count(n) > 1})
-        if shared:
-            raise ConfigError(
-                f"several qaoa rows map to {shared}; emit their sweeps separately"
-            )
-        # One CNOT series per algorithm and truncation order, named like the above.
-        to_target: dict[str, list[tuple[float, int]]] = {}
-        for row, name in zip(qaoa_rows, names):
-            trace = _load_postselected_trace(traces_dir, row)
-            series = [
-                (rec["index"], rec["fidelity"]) for rec in trace["records"]
-            ]
-            written.append(_write_series(out_dir / name, "layer fidelity", series))
-            _add_cnots_to_target(
-                to_target, f"qaoa_cnots_to_target{suffix(row)}", row, trace
-            )
-        baseline_rows = [r for r in rows if r["algorithm"] == "baseline"]
-        for row in sorted(baseline_rows, key=lambda r: r["beta_inv"]):
-            trace = _load_postselected_trace(traces_dir, row)
-            _add_cnots_to_target(
-                to_target, f"baseline_cnots_to_target{suffix(row)}", row, trace
-            )
-        for stem, series in to_target.items():
-            written.append(
-                _write_series(
-                    out_dir / f"{stem}.dat",
-                    f"beta_inv cnot_count_to_fidelity_{CONVERGED_FIDELITY}",
-                    series,
-                )
-            )
-        return written
-
-    if panel == "fig3":
-        vqe_rows = [r for r in rows if r["algorithm"] == "vqe"]
-        if not vqe_rows:
-            raise ConfigError("fig3 needs vqe rows")
-        for model in sorted({r["model"] for r in vqe_rows}):
-            model_rows = [r for r in vqe_rows if r["model"] == model]
-            for trunc in sorted({r["truncation"] for r in model_rows}):
-                series = sorted(
-                    (
-                        r["beta_inv"],
-                        max(1.0 - r["fidelity"], INFIDELITY_FLOOR),
-                    )
-                    for r in model_rows
-                    if r["truncation"] == trunc
-                )
-                suffix = "minf" if trunc == "exact" else f"m{trunc}"
-                written.append(
-                    _write_series(
-                        out_dir / f"{model}_infidelity_{suffix}.dat",
-                        "beta_inv infidelity",
-                        series,
-                    )
-                )
-        return written
-
-    raise ConfigError(f"unknown panel {panel!r}; expected fig1, fig2 or fig3")
-
-
-def _add_cnots_to_target(
-    to_target: dict[str, list[tuple[float, int]]], stem: str, row: dict, trace: dict
-) -> None:
-    """Append ``(beta_inv, CNOTs at the first record reaching CONVERGED_FIDELITY)``."""
-    for rec in trace["records"]:
-        if rec["fidelity"] >= CONVERGED_FIDELITY:
-            to_target.setdefault(stem, []).append((row["beta_inv"], rec["cnot_count"]))
-            return
+    return [
+        _write_series(out_dir / name, header, series)
+        for name, (header, series) in table.items()
+    ]
 
 
 def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:

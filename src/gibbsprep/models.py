@@ -12,12 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .simcore import (
-    DensityMatrix,
-    PauliString,
-    pauli_action_tables,
-    von_neumann_entropy,
-)
+from .simcore import DensityMatrix, PauliString, pauli_action_tables
 
 TARGET_TRACE_ATOL = 1e-10
 TARGET_HERMITICITY_ATOL = 1e-10
@@ -158,11 +153,8 @@ class GibbsTarget:
     :attr:`has_negative_eigenvalues`, not treated as an error.
     """
 
-    beta: float
     mode: str  # "exact" | "truncated"
-    order: int | None
     matrix: np.ndarray
-    partition_norm: float
     eigenvalues: np.ndarray
 
     def __post_init__(self):
@@ -211,12 +203,7 @@ def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsTarget:
     matrix = (vectors * probabilities) @ vectors.conj().T
     matrix = (matrix + matrix.conj().T) / 2
     return GibbsTarget(
-        beta=beta,
-        mode="exact",
-        order=None,
-        matrix=matrix,
-        partition_norm=float(total * np.exp(-beta * values[0])),
-        eigenvalues=np.sort(probabilities)[::-1],
+        mode="exact", matrix=matrix, eigenvalues=np.sort(probabilities)[::-1]
     )
 
 
@@ -255,12 +242,7 @@ def truncated_target(
     matrix = (vectors * normalized) @ vectors.conj().T
     matrix = (matrix + matrix.conj().T) / 2
     return GibbsTarget(
-        beta=beta,
-        mode="truncated",
-        order=m,
-        matrix=matrix,
-        partition_norm=float(total),
-        eigenvalues=np.sort(normalized)[::-1],
+        mode="truncated", matrix=matrix, eigenvalues=np.sort(normalized)[::-1]
     )
 
 
@@ -277,13 +259,3 @@ def max_fidelity_bound(target: GibbsTarget, n_ancilla: int) -> float:
         raise ValueError("n_ancilla must be >= 0")
     k = min(1 << n_ancilla, target.dim)
     return float(target.eigenvalues[:k].sum())
-
-
-def free_energy(
-    rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
-) -> float:
-    """Diagnostic free energy ``Tr(rho H) + Tr(rho ln rho) / beta``."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    energy = float(np.einsum("ij,ji->", hamiltonian.matrix, rho.entries).real)
-    return energy - von_neumann_entropy(rho) / beta

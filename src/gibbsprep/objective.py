@@ -84,28 +84,22 @@ def shift_gradient(
     index: int,
     params: np.ndarray,
     ctx: ObjectiveContext,
-    r: float = 1.0,
 ) -> float:
-    """dC/dparams[index] via the two-point shift rule with radius pi/(4r).
+    """dC/dparams[index] via the two-point shift rule with radius pi/4.
 
-    The caller guarantees that the parameter multiplies a generator i*P with
-    exactly two distinct eigenvalues (r = half the eigenvalue gap; 1 for
-    Pauli words). Sums of commuting words must be decomposed first, see
+    The caller guarantees that the parameter multiplies a single Pauli word
+    ``i*P``. Sums of commuting words must be decomposed first, see
     :func:`sum_generator_gradient`.
     """
     params = np.asarray(params, dtype=np.float64)
     base = prepare(params)
-    shift = np.pi / (4.0 * r)
     plus = params.copy()
-    plus[index] += shift
+    plus[index] += np.pi / 4
     minus = params.copy()
-    minus[index] -= shift
+    minus[index] -= np.pi / 4
     return float(
-        r
-        * (
-            auxiliary_objective(prepare(plus), base, ctx)
-            - auxiliary_objective(prepare(minus), base, ctx)
-        )
+        auxiliary_objective(prepare(plus), base, ctx)
+        - auxiliary_objective(prepare(minus), base, ctx)
     )
 
 

@@ -25,7 +25,6 @@ NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-ENTROPY_EIGENVALUE_CUTOFF = 1e-14
 
 _LABEL_TOKEN = re.compile(r"([XYZ])(\d+)")
 
@@ -211,12 +210,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
-    """Return ``P |psi>``. Involution: applying twice recovers the input."""
-    source, phase = pauli_action_tables(state.n_total, p.support, p.letters)
-    return state.with_amplitudes(pauli_apply_raw(state.amplitudes, source, phase))
-
-
 def pauli_rotation(state: StateVector, p: PauliString, theta: float) -> StateVector:
     """Return ``exp(i theta P) |psi>`` using cos/sin closed form (P^2 = 1)."""
     source, phase = pauli_action_tables(state.n_total, p.support, p.letters)
@@ -298,10 +291,3 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     # square roots (~1e-9 each) would push F(rho, rho) above 1.
     cutoff = inner.shape[0] * np.finfo(np.float64).eps * max(values[-1], 0.0)
     return float(np.sqrt(values[values > cutoff]).sum() ** 2)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr(rho ln rho) in nats; eigenvalues below 1e-14 contribute 0."""
-    values = _checked_eigvalsh(rho.entries, "rho")
-    values = values[values > ENTROPY_EIGENVALUE_CUTOFF]
-    return float(-(values * np.log(values)).sum())

@@ -102,6 +102,26 @@ class TestConfig:
         c = tiny_config(master_seed=8)
         assert a.config_hash() != c.config_hash()
 
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "04537d53bc37"),
+            (
+                dict(
+                    n_ancilla=(1, 2),
+                    beta_inv_list=(0.5, 1 / 3),
+                    truncation=3,
+                    epsilon=1e-4,
+                ),
+                "06f91c27f36f",
+            ),
+            (dict(algorithm="qaoa", n_ancilla=(2,), layer_budget=2), "b2b09553c6e9"),
+        ],
+    )
+    def test_config_hash_is_pinned(self, overrides, digest):
+        # Trace file names carry the digest: a new one orphans existing traces.
+        assert tiny_config(**overrides).config_hash() == digest
+
 
 class TestSeedScheme:
     def test_pinned_values(self):
@@ -403,6 +423,15 @@ class TestEmitPlotData:
         assert body[0].startswith("#")
         assert len(body) == 3  # header + 2 temperatures
 
+    def test_fig1_fixed_mixer_overlay_for_xy(self, tmp_path):
+        # The overlay is a gate count: it needs no layered xy run, which the
+        # commuting-cost check refuses at n_data >= 3.
+        out = tmp_path / "out"
+        run_sweep(tiny_config(model="xy", n_data=3, out=str(out)))
+        emit_plot_data(out / "results.csv", "fig1", tmp_path / "plot")
+        overlay = tmp_path / "plot" / "xy_fixed_mixer_cnots.dat"
+        assert overlay.read_text() == "# beta_inv cnot_count\n1 45\n"
+
     def test_fig2_layer_series_and_convergence(self, sweep_outputs, tmp_path):
         written = emit_plot_data(sweep_outputs / "results.csv", "fig2", tmp_path)
         names = [p.name for p in written]
@@ -441,7 +470,20 @@ class TestEmitPlotData:
             )
         with pytest.raises(ConfigError, match="qaoa_fidelity_binv1.dat"):
             emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
-        assert not list((tmp_path / "plot").glob("*.dat"))
+        assert not (tmp_path / "plot").exists()
+
+    def test_fig2_missing_trace_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        run_sweep(
+            tiny_config(algorithm="qaoa", n_ancilla=(2,), layer_budget=1,
+                        beta_inv_list=(0.5, 1.0), out=str(out))
+        )
+        # The later row's only restart, hence its postselected trace.
+        (trace,) = (out / "traces").glob("qaoa_ising_nd2_na2_b1.*.json")
+        trace.unlink()
+        with pytest.raises(ConfigError, match="no trace files"):
+            emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
+        assert not (tmp_path / "plot").exists()
 
     def test_fig3_series_per_truncation(self, sweep_outputs, tmp_path):
         written = emit_plot_data(sweep_outputs / "results.csv", "fig3", tmp_path)

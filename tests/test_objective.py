@@ -161,23 +161,6 @@ class TestShiftGradient:
         grad = shift_gradient(prepare, 0, np.array([0.4]), ctx)
         assert abs(grad) < 1e-14
 
-    def test_general_r_scaling(self, rng):
-        # same generator exposed as theta' = theta/2 with r = 2 must agree
-        ctx = make_ctx()
-        reference = random_state(2, 2, rng)
-        p = PauliString((0, 2), "YY")
-
-        def prepare_r1(params):
-            return pauli_rotation(reference, p, float(params[0]))
-
-        def prepare_r2(params):
-            return pauli_rotation(reference, p, 2.0 * float(params[0]))
-
-        theta = 0.37
-        g1 = shift_gradient(prepare_r1, 0, np.array([2 * theta]), ctx, r=1.0)
-        g2 = shift_gradient(prepare_r2, 0, np.array([theta]), ctx, r=2.0)
-        assert abs(g2 - 2.0 * g1) < 1e-12
-
 
 class TestCandidateGradient:
     def test_zero_at_exact_target_purification(self):
@@ -212,11 +195,8 @@ class TestCandidateGradient:
         lam = 0.3
         combo_matrix = lam * t1.matrix + (1 - lam) * t2.matrix
         combo = GibbsTarget(
-            beta=0.0,
             mode="exact",
-            order=None,
             matrix=combo_matrix,
-            partition_norm=1.0,
             eigenvalues=np.sort(np.linalg.eigvalsh(combo_matrix))[::-1],
         )
         state = random_state(2, 2, rng)
