@@ -25,11 +25,14 @@ adjoint pass (:func:`ansatz_value_and_gradient`).
 
 The layered hot path is pair-local. The cost layer is ``V (x) V`` with
 ``V = exp(i gamma H/2)`` on the data register (:meth:`Ansatz._apply_cost_raw`),
-so nothing is exponentiated on the joint register. The entangler's pair
-terms are applied as one SWAP rotation per pair, since
-``XX + YY + ZZ = 2 SWAP - 1`` (:attr:`PoolOperator.involutions`). The pool
-scan reads every candidate gradient from one ``2^w x 2^w`` marginal of
-``|psi><lam|`` per support of weight ``w``, with no per-word gather table
+so nothing is exponentiated on the joint register. The entangler is one
+diagonal phase in the pair Bell basis (:func:`~gibbsprep.simcore.bell_frame`:
+a CNOT from each ancilla onto its data qubit, then ``H`` on the ancillas),
+where every ``XX``, ``YY`` and ``ZZ`` of a pair is a sign
+(:attr:`PoolOperator.bell_spectrum`). The forward pass keeps a tape, so the
+reverse pass walks back only the costate (:func:`ansatz_value_and_gradient`).
+The pool scan reads every candidate gradient from one ``2^w x 2^w`` marginal
+of ``|psi><lam|`` per support of weight ``w``, with no per-word gather table
 (qubit-ADAPT pools, arXiv:1911.10205; :func:`_pool_scan`).
 
 Within one growth loop everything is deterministic given the seed; restarts
@@ -52,13 +55,13 @@ from .simcore import (
     StateVector,
     apply_cnot,
     fidelity,
+    from_bell_raw,
     partial_trace_ancilla,
     partial_trace_ancilla_raw,
     pauli_action_tables,
     pauli_apply_raw,
-    pauli_rotate_raw,
     pauli_rotation,
-    swap_tables,
+    to_bell_raw,
 )
 
 GRADIENT_TOLERANCE = 1e-8
@@ -118,9 +121,23 @@ class PoolOperator:
         )
 
     @classmethod
-    def from_entangler(cls, operator: HermitianOperator, n_data: int) -> "PoolOperator":
-        if not operator.terms_commute():
-            raise ValueError("entangler terms must mutually commute")
+    def from_entangler(
+        cls, operator: HermitianOperator, n_data: int
+    ) -> "PoolOperator":
+        """A sum of ``XX``, ``YY`` and ``ZZ`` terms on the pairs ``(k, n_data + k)``.
+
+        That is the form the pair Bell basis diagonalises
+        (:attr:`bell_spectrum`); any other term raises ``ValueError``.
+        """
+        if operator.n_qubits != 2 * n_data:
+            raise ValueError(f"entangler must act on {2 * n_data} qubits")
+        pairs = {(k, n_data + k) for k in range(n_data)}
+        for _, p in operator.terms:
+            if p.support not in pairs or p.letters not in ("XX", "YY", "ZZ"):
+                raise ValueError(
+                    f"entangler term {p.label} is not XX, YY or ZZ on a pair "
+                    f"(k, {n_data} + k)"
+                )
         return cls(
             kind="sum_entangler",
             pauli=None,
@@ -135,33 +152,27 @@ class PoolOperator:
         return ((1.0, self.pauli),) if self.kind == "pauli" else self.operator.terms
 
     @cached_property
-    def involutions(
-        self,
-    ) -> tuple[float, tuple[tuple[float, PauliString | tuple[int, int]], ...]]:
-        """The generator as ``offset + sum_j c_j Q_j``, commuting involutions ``Q_j``.
+    def bell_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entangler's diagonal in the pair Bell basis of ``bell_frame``.
 
-        So ``exp(i a G) = exp(i a offset) prod_j exp(i a c_j Q_j)``. Each
-        ``Q_j`` is a Pauli word, or a qubit pair ``(p, q)`` standing for
-        their SWAP: the terms of a pair whose XX, YY and ZZ share one weight
-        ``c`` fuse by ``c (XX + YY + ZZ) = 2c SWAP - c``, one rotation
-        instead of three. Other terms stay single words.
+        Returns ``(energies, values, index)``: ``energies`` over the frame's
+        amplitudes, equal to ``values[index]`` with ``values`` the distinct
+        ones, so a phase ``exp(i a energies)`` takes one exponential per
+        distinct value. With ``x_k`` the ancilla bit and ``y_k`` the data bit
+        of pair k, ``XX = (-1)^x``, ``ZZ = (-1)^y`` and ``YY = -(-1)^(x+y)``
+        (:func:`~gibbsprep.simcore.bell_frame`).
         """
-        if self.kind == "pauli":
-            return 0.0, ((1.0, self.pauli),)
-        by_support: dict[tuple[int, ...], list[tuple[float, PauliString]]] = {}
+        n = self.operator.n_qubits // 2
+        x, y = np.divmod(np.arange(1 << 2 * n), 1 << n)
+        energies = np.zeros(x.size)
         for c, p in self.operator.terms:
-            by_support.setdefault(p.support, []).append((c, p))
-        offset, factors = 0.0, []
-        for support, terms in by_support.items():
-            weights = {c for c, _ in terms}
-            letters = sorted(p.letters for _, p in terms)
-            if len(weights) == 1 and letters == ["XX", "YY", "ZZ"]:
-                (c,) = weights
-                offset -= c
-                factors.append((2.0 * c, support))
-            else:
-                factors.extend(terms)
-        return offset, tuple(factors)
+            k = p.support[0]
+            bits = {"XX": x >> k, "ZZ": y >> k, "YY": (x ^ y) >> k}[p.letters] & 1
+            energies += (-c if p.letters == "YY" else c) * (1.0 - 2.0 * bits)
+        values, index = np.unique(energies, return_inverse=True)
+        for array in (energies, values, index):
+            array.setflags(write=False)
+        return energies, values, index
 
 
 def build_vqe_pool(n_total_qubits: int) -> tuple[PoolOperator, ...]:
@@ -351,13 +362,6 @@ class Ansatz:
 
     # -- raw-amplitude pipelines (hot path) --------------------------------
 
-    def _tables(self, word: PauliString | tuple[int, int]):
-        """Gather tables of a Pauli word or of the SWAP of a qubit pair."""
-        n_qubits = self.n_data + self.n_ancilla
-        if isinstance(word, PauliString):
-            return pauli_action_tables(n_qubits, word.support, word.letters)
-        return swap_tables(n_qubits, *word)
-
     def _cost_unitary(self, gamma: float) -> np.ndarray:
         """``V = exp(i gamma H/2)`` of the cost layer ``V (x) V``.
 
@@ -402,24 +406,43 @@ class Ansatz:
         h = self.data_hamiltonian.diagonal()
         return None if h is None else (h[:, None] + h).ravel()
 
-    def _build_raw(
-        self, params: np.ndarray, cost_unitaries: list[np.ndarray] | None = None
-    ) -> np.ndarray:
-        """Final amplitudes, given or building :meth:`_cost_unitaries` of ``params``."""
-        if cost_unitaries is None:
-            cost_unitaries = self._cost_unitaries(params)
+    def _build_raw(self, params: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """Final amplitudes at ``params``; the one forward pass.
+
+        Each layer applies its cost unitary (if any), then its generator: a
+        Pauli word as ``cos(a) psi + i sin(a) P psi``, the entangler as one
+        diagonal phase in the pair Bell basis ``B``
+        (:func:`~gibbsprep.simcore.bell_frame`). With a ``tape``, each layer
+        appends ``(unitary, psi_in, p_psi_or_frame_out, tables_or_phase)``:
+        the cost unitary (None without one), the generator's input, and
+        ``P psi_in`` with the word's gather tables, or the frame output
+        ``phase * B psi_in`` with the phase.
+        """
+        n_qubits = self.n_data + self.n_ancilla
+        cost_unitaries = self._cost_unitaries(params)
         amps = self.reference.amplitudes
         s = self._stride
         # Mixer angles as Python floats: per gate they cost less than numpy scalars.
         alphas = params[s - 1 :: s].tolist()
         for k, (op, alpha) in enumerate(zip(self.generators, alphas)):
-            if cost_unitaries:
-                amps = _apply_cost(amps, cost_unitaries[k])
-            offset, factors = op.involutions
-            for c, word in factors:
-                amps = pauli_rotate_raw(amps, *self._tables(word), alpha * c)
-            if offset:
-                amps = np.exp(1j * alpha * offset) * amps
+            unitary = cost_unitaries[k] if cost_unitaries else None
+            if unitary is not None:
+                amps = _apply_cost(amps, unitary)
+            psi_in = amps
+            if op.kind == "pauli":
+                word = op.pauli
+                tables = pauli_action_tables(n_qubits, word.support, word.letters)
+                moved = pauli_apply_raw(psi_in, *tables)
+                amps = np.cos(alpha) * psi_in + (1j * np.sin(alpha)) * moved
+                record = (unitary, psi_in, moved, tables)
+            else:
+                _, values, index = op.bell_spectrum
+                phase = np.exp(1j * alpha * values)[index]
+                moved = phase * to_bell_raw(psi_in, self.n_data)
+                amps = from_bell_raw(moved, self.n_data)
+                record = (unitary, psi_in, moved, phase)
+            if tape is not None:
+                tape.append(record)
         return amps
 
 
@@ -450,20 +473,6 @@ def _value_and_costate(
     return _objective_raw(rho, ctx), (block @ w.T).reshape(-1)
 
 
-def _unrotate(
-    psi: np.ndarray, lam: np.ndarray, tables, theta: float
-) -> tuple[complex, np.ndarray, np.ndarray]:
-    """<lam|P psi>, then ``exp(-i theta P)`` un-applied from psi and lam."""
-    p_psi = pauli_apply_raw(psi, *tables)
-    p_lam = pauli_apply_raw(lam, *tables)
-    cos_t, i_sin_t = np.cos(theta), 1j * np.sin(theta)
-    return (
-        np.vdot(lam, p_psi),
-        cos_t * psi - i_sin_t * p_psi,
-        cos_t * lam - i_sin_t * p_lam,
-    )
-
-
 def ansatz_objective(ansatz: Ansatz, params: np.ndarray, ctx: ObjectiveContext) -> float:
     rho = partial_trace_ancilla_raw(
         ansatz._build_raw(np.asarray(params, float)), ansatz.n_data, ansatz.n_ancilla
@@ -476,48 +485,49 @@ def ansatz_value_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Objective and its exact gradient at ``params`` by one reverse pass.
 
-    Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): after the
-    forward build, the final state ``psi`` and the costate
-    ``lam = ((rho - T) x 1_A) psi`` are walked back through the layers
-    together. At each gate ``exp(i theta G)`` the partial derivative is
-    ``-2 Im<lam|G psi>``, read before the gate is un-applied from both.
-    Each cost layer (generator ``(H (x) 1 + 1 (x) H)/2``) gets one unitary
-    ``V (x) V`` per call, from the data register alone
-    (:meth:`Ansatz._cost_unitary`): the forward build applies it, and the
-    reverse pass applies its adjoint to both ``psi`` and ``lam`` and reads
-    the gamma-derivative as ``-Im vdot(Lam, H Psi + Psi H^T)`` on the
-    amplitude blocks. No other exponential runs. A mixer, or a ``vqe``
-    rotation (a layer without a cost unitary), is un-applied factor by
-    factor in the form of :attr:`PoolOperator.involutions`, so the
-    entangler takes one SWAP rotation per data/ancilla pair. The result
-    equals the parameter-shift rule of :mod:`gibbsprep.objective`, which
-    unrolls every generator into single Pauli words and which the tests
-    and ``gradcheck`` use as the oracle.
+    Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): the forward
+    build (:meth:`Ansatz._build_raw`) keeps a tape of every layer's input
+    and generator output, and only the costate
+    ``lam = ((rho - T) x 1_A) psi`` walks back through the layers; ``psi``
+    is read from the tape, never un-applied. Per layer, from the last:
+
+    * a Pauli word ``exp(i a P)``: ``lam`` is un-rotated to the layer input,
+      and ``dC/da = -2 Im<lam|P psi_in>``;
+    * the entangler ``B^T diag(phase) B`` in the pair Bell basis ``B``
+      (real, so ``B^dagger = B^T``): ``dC/da = -2 Im vdot(B lam, E * out)``
+      with ``E`` the entangler's frame diagonal and ``out`` the taped frame
+      output, then ``lam <- B^T (conj(phase) * B lam)``;
+    * a cost layer ``V (x) V`` (generator ``(H (x) 1 + 1 (x) H)/2``, one
+      unitary per call from the data register, :meth:`Ansatz._cost_unitary`):
+      ``dC/dgamma = -Im vdot(Lam, H Psi + Psi H^T)`` on the amplitude blocks
+      at the cost output, then ``lam`` is un-applied.
+
+    No other exponential runs. The result equals the parameter-shift rule
+    of :mod:`gibbsprep.objective`, which unrolls every generator into single
+    Pauli words and which the tests and ``gradcheck`` use as the oracle.
     """
     params = np.asarray(params, dtype=np.float64)
-    cost_unitaries = ansatz._cost_unitaries(params)
-    psi = ansatz._build_raw(params, cost_unitaries)
+    tape: list = []
+    psi = ansatz._build_raw(params, tape)
     value, lam = _value_and_costate(psi, ctx, ansatz.n_ancilla)
     grad = np.zeros(ansatz.parameter_count)
     s = ansatz._stride
     alphas = params[s - 1 :: s].tolist()
     for k in reversed(range(ansatz.n_layers)):
-        # The factors commute, so they can be un-applied in any order. The
-        # phase exp(i alpha offset) scales psi and lam alike, so it cancels in
-        # every <lam|.|psi>; its own term -2 offset Im<lam|psi> is zero, since
-        # <lam|psi> = <psi|(rho - T) x 1_A|psi> is real.
-        _, factors = ansatz.generators[k].involutions
-        d_alpha = 0.0
-        for c, word in factors:
-            tables = ansatz._tables(word)
-            inner, psi, lam = _unrotate(psi, lam, tables, alphas[k] * c)
-            d_alpha -= 2.0 * c * inner.imag
-        grad[s * k + s - 1] = d_alpha
-        if cost_unitaries:
-            grad[s * k + s - 2] = -ansatz._cost_inner(psi, lam).imag
-            forward = cost_unitaries[k]
-            inverse = forward.conj() if forward.ndim == 1 else forward.conj().T
-            psi = _apply_cost(psi, inverse)
+        op, alpha = ansatz.generators[k], alphas[k]
+        unitary, psi_in, moved, aux = tape[k]
+        if op.kind == "pauli":
+            moved_lam = pauli_apply_raw(lam, *aux)
+            lam = np.cos(alpha) * lam - (1j * np.sin(alpha)) * moved_lam
+            grad[s * k + s - 1] = -2.0 * np.vdot(lam, moved).imag
+        else:
+            lam_frame = to_bell_raw(lam, ansatz.n_data)
+            energies = op.bell_spectrum[0]
+            grad[s * k + s - 1] = -2.0 * np.vdot(lam_frame, energies * moved).imag
+            lam = from_bell_raw(aux.conj() * lam_frame, ansatz.n_data)
+        if unitary is not None:
+            grad[s * k + s - 2] = -ansatz._cost_inner(psi_in, lam).imag
+            inverse = unitary.conj() if unitary.ndim == 1 else unitary.conj().T
             lam = _apply_cost(lam, inverse)
     return value, grad
 

@@ -19,6 +19,7 @@ from dataclasses import fields
 from .adapt import NumericalFailure
 from .harness import (
     ALGORITHMS,
+    PANELS,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("plotdata", help="emit per-curve series files from a CSV")
     d.add_argument("--csv", required=True)
-    d.add_argument("--panel", required=True, choices=("fig1", "fig2", "fig3"))
+    d.add_argument("--panel", required=True, choices=PANELS)
     d.add_argument("--out", required=True)
     d.set_defaults(command_kind="plotdata")
     return parser

@@ -698,6 +698,24 @@ def _columns(rows: list[dict], *columns: str) -> tuple[str, list[tuple]]:
     return " ".join(columns), sorted(tuple(r[c] for c in columns) for r in rows)
 
 
+def _rows_by_model(rows: list[dict]) -> list[tuple[str, list[dict]]]:
+    """Rows grouped by model, in model order, each group of one ``n_data``.
+
+    A series is named by model alone, so rows of two register sizes would
+    merge into one unlabelled series; such a model is refused.
+    """
+    groups = []
+    for model in sorted({r["model"] for r in rows}):
+        model_rows = [r for r in rows if r["model"] == model]
+        sizes = sorted({r["n_data"] for r in model_rows})
+        if len(sizes) > 1:
+            raise ConfigError(
+                f"{model} rows span n_data {sizes}; emit their sweeps separately"
+            )
+        groups.append((model, model_rows))
+    return groups
+
+
 def _fig1(rows: list[dict], traces_dir: Path) -> _Table:
     vqe_rows = [
         r for r in rows if r["algorithm"] == "vqe" and r["truncation"] == "exact"
@@ -705,8 +723,7 @@ def _fig1(rows: list[dict], traces_dir: Path) -> _Table:
     if not vqe_rows:
         raise ConfigError("fig1 needs exact-target vqe rows")
     table: _Table = {}
-    for model in sorted({r["model"] for r in vqe_rows}):
-        model_rows = [r for r in vqe_rows if r["model"] == model]
+    for model, model_rows in _rows_by_model(vqe_rows):
         for a in sorted({r["n_ancilla"] for r in model_rows}):
             cell = [r for r in model_rows if r["n_ancilla"] == a]
             table[f"{model}_fidelity_na{a}.dat"] = _columns(cell, "fidelity")
@@ -769,8 +786,7 @@ def _fig3(rows: list[dict], traces_dir: Path) -> _Table:
     if not vqe_rows:
         raise ConfigError("fig3 needs vqe rows")
     table: _Table = {}
-    for model in sorted({r["model"] for r in vqe_rows}):
-        model_rows = [r for r in vqe_rows if r["model"] == model]
+    for model, model_rows in _rows_by_model(vqe_rows):
         for trunc in sorted({r["truncation"] for r in model_rows}):
             suffix = "minf" if trunc == "exact" else f"m{trunc}"
             table[f"{model}_infidelity_{suffix}.dat"] = (
@@ -785,6 +801,7 @@ def _fig3(rows: list[dict], traces_dir: Path) -> _Table:
 
 
 _PANELS = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3}
+PANELS = tuple(_PANELS)
 
 
 def emit_plot_data(
@@ -802,12 +819,14 @@ def emit_plot_data(
 
     The panel's whole table is computed before ``out_dir`` is made, so a
     panel that fails (no matching rows, a missing trace, a file name two
-    rows share) writes nothing. Returns the written paths in write order.
+    rows share, fig1/fig3 rows of one model at two ``n_data``) writes
+    nothing. Returns the written paths in write order.
     """
     csv_path = Path(csv_path)
     rows = _read_csv(csv_path)
     if panel not in _PANELS:
-        raise ConfigError(f"unknown panel {panel!r}; expected fig1, fig2 or fig3")
+        expected = ", ".join(PANELS)
+        raise ConfigError(f"unknown panel {panel!r}; expected one of {expected}")
     table = _PANELS[panel](rows, csv_path.parent / "traces")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

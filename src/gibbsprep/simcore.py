@@ -117,19 +117,42 @@ def pauli_action_tables(n_qubits: int, support: tuple[int, ...], letters: str):
 
 
 @lru_cache(maxsize=None)
-def swap_tables(n_qubits: int, a: int, b: int):
-    """SWAP of qubits ``a`` and ``b`` in the ``(source, phase)`` form above.
+def bell_frame(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair Bell basis of ``n_pairs`` data/ancilla pairs: ``(cnot, h)``.
 
-    SWAP is an involutive basis permutation, so the phase is the scalar 1 and
-    :func:`pauli_rotate_raw` computes ``exp(i theta SWAP)`` unchanged.
+    ``cnot`` gathers "CNOT from ancilla k onto data k, for every k": on the
+    ``(2^n, 2^n)`` amplitude block ``[a, d]`` it maps ``d -> d ^ a``, and it is
+    its own inverse. ``h`` is the real matrix ``H^{(x) n}``, applied to the
+    ancilla (row) index, so in the frame the ancilla and data bits of pair k
+    label its Bell state. See :func:`to_bell_raw` and :func:`from_bell_raw`;
+    both arrays are read-only.
     """
-    if not (0 <= a < n_qubits and 0 <= b < n_qubits) or a == b:
-        raise IndexError(f"SWAP qubits ({a}, {b}) invalid for {n_qubits} qubits")
-    index = np.arange(1 << n_qubits, dtype=np.intp)
-    differ = ((index >> a) ^ (index >> b)) & 1
-    source = index ^ (differ * ((1 << a) | (1 << b)))
-    source.setflags(write=False)
-    return source, 1.0
+    if n_pairs < 1:
+        raise ValueError("need at least one data/ancilla pair")
+    dim = 1 << n_pairs
+    rows, cols = np.divmod(np.arange(dim * dim, dtype=np.intp), dim)
+    cnot = rows * dim + (cols ^ rows)
+    h = np.ones((1, 1))
+    for _ in range(n_pairs):
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    cnot.setflags(write=False)
+    h.setflags(write=False)
+    return cnot, h
+
+
+def to_bell_raw(amplitudes: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Amplitudes in the pair Bell basis of :func:`bell_frame`: CNOTs, then H."""
+    cnot, h = bell_frame(n_pairs)
+    block = amplitudes[cnot].reshape(h.shape[0], -1)
+    # H is real, so it acts on the real and imaginary parts side by side.
+    return (h @ block.view(np.float64)).view(np.complex128).reshape(-1)
+
+
+def from_bell_raw(amplitudes: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Inverse of :func:`to_bell_raw`: H, then CNOTs."""
+    cnot, h = bell_frame(n_pairs)
+    block = amplitudes.reshape(h.shape[0], -1).view(np.float64)
+    return (h @ block).view(np.complex128).reshape(-1)[cnot]
 
 
 def pauli_apply_raw(amplitudes: np.ndarray, source: np.ndarray, phase: np.ndarray) -> np.ndarray:

@@ -406,7 +406,7 @@ class TestAdjointEngine:
             )
             for c, p in entangler.terms:
                 state = pauli_rotation(state, p, alpha * c)
-        # Global phase included: exp(i a (XX + YY + ZZ)) = exp(-i a) exp(2i a SWAP).
+        # Global phase included: the Bell-frame phase is exp(i a G) exactly.
         assert np.abs(ansatz.prepare().amplitudes - state.amplitudes).max() <= 1e-13
 
     def test_pool_scan_on_full_vqe_pool(self, rng):
@@ -421,6 +421,64 @@ class TestAdjointEngine:
         slow = [candidate_gradient(state, op.pauli, ctx) for op in pool]
         slow.append(sum_generator_gradient(state, weighted.operator, ctx))
         assert np.abs(fast - slow).max() <= 1e-12
+
+
+class TestBellFrame:
+    """The entangler as one diagonal phase in the pair Bell basis."""
+
+    @staticmethod
+    def entangler_only(n, generators, params, rng):
+        """A ``vqe``-flavor ansatz of entangler layers on a random state."""
+        return Ansatz(
+            flavor="vqe",
+            n_data=n,
+            n_ancilla=n,
+            reference=random_state(n, n, rng),
+            reference_spec={"kind": "random"},
+            generators=list(generators),
+            parameters=params,
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_frame_phase_is_the_dense_exponential(self, n, rng):
+        uniform = build_qaoa_pool(n, entangling_hamiltonian(n))[-1]
+        for op in (uniform, weighted_entangler(n)):
+            alpha = rng.uniform(-np.pi, np.pi)
+            ansatz = self.entangler_only(n, [op], [alpha], rng)
+            exact = dense_exponential(dense_operator(op.operator), alpha)
+            expected = exact @ ansatz.reference.amplitudes
+            assert np.abs(ansatz.prepare().amplitudes - expected).max() <= 1e-13
+
+    def test_spectrum_values_index_the_energies(self):
+        energies, values, index = weighted_entangler(3).bell_spectrum
+        assert np.array_equal(values[index], energies)
+        assert np.array_equal(np.unique(energies), values)
+        # Uniform weights: pair energies 1, 1, 1, -3, so n + 1 distinct sums.
+        _, values, _ = build_qaoa_pool(3, entangling_hamiltonian(3))[-1].bell_spectrum
+        assert values.tolist() == [-9.0, -5.0, -1.0, 3.0]
+
+    def test_from_entangler_rejects_terms_off_the_pairs(self):
+        n = 2
+        for word in (PauliString((0, 1), "XX"), PauliString((1, n + 1), "XY")):
+            operator = HermitianOperator(2 * n, ((1.0, word),))
+            with pytest.raises(ValueError, match="not XX, YY or ZZ"):
+                PoolOperator.from_entangler(operator, n)
+
+    def test_value_and_gradient_builds_no_gather_tables(self, rng):
+        from gibbsprep.harness import _shift_rule_gradient
+        from gibbsprep.simcore import pauli_action_tables
+
+        n = 3
+        ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(n), 0.9), n, n)
+        generators = [build_qaoa_pool(n, entangling_hamiltonian(n))[-1]]
+        generators.append(weighted_entangler(n))
+        params = rng.uniform(-np.pi, np.pi, 2)
+        ansatz = self.entangler_only(n, generators, params, rng)
+        before = pauli_action_tables.cache_info()
+        value, grad = ansatz_value_and_gradient(ansatz, params, ctx)
+        assert pauli_action_tables.cache_info() == before
+        assert value == objective(partial_trace_ancilla(ansatz.prepare(params)), ctx)
+        assert np.abs(grad - _shift_rule_gradient(ansatz, params, ctx)).max() <= 1e-12
 
 
 class TestPoolScan:

@@ -179,6 +179,39 @@ class TestPlotdataCommand:
         assert code == 0
         assert (series / "ising_fidelity_na1.dat").exists()
 
+    def test_panel_choices_are_the_harness_panels(self):
+        import argparse
+
+        from gibbsprep.cli import _build_parser
+        from gibbsprep.harness import _PANELS
+
+        (sub,) = (
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        (panel,) = (a for a in sub.choices["plotdata"]._actions if a.dest == "panel")
+        assert tuple(panel.choices) == tuple(_PANELS)
+
+    def test_rows_of_two_register_sizes_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for n_data in ("2", "3"):
+            code = main(
+                ["vqe-gibbs", "--n_data", n_data, "--n_ancilla", "1",
+                 "--beta_inv_list", "1.0", "--restarts", "1", "--epsilon", "1e-2",
+                 "--out", str(out)]
+            )
+            assert code == 0
+        capsys.readouterr()
+        for panel in ("fig1", "fig3"):
+            series = tmp_path / panel
+            code = main(
+                ["plotdata", "--csv", str(out / "results.csv"), "--panel", panel,
+                 "--out", str(series)]
+            )
+            assert code == 2
+            assert not series.exists()
+            assert "ising rows span n_data [2, 3]" in capsys.readouterr().err
+
     def test_missing_csv_is_config_error(self, tmp_path):
         code = main(
             [
