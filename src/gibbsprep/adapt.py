@@ -12,28 +12,23 @@ Two ansatz families are grown here:
   pool of data-ancilla Pauli words plus the pair entangler (``qaoa``) or
   fixed to the pair entangler (``baseline``). Layer k = 1 is applied first.
 
-Both families run through one layer loop: a ``vqe`` generator is a layer
-without a cost unitary, so with ``s`` parameters per layer (2 with cost
-unitaries, else 1) layer ``k`` has its mixer angle at ``params[s k + s - 1]``
-(see :class:`Ansatz`). Their growth loops share one record and trace path
+Both families run through one gate program (:attr:`Ansatz.gates`):
+``params[k]`` drives gate ``k``, and a layered ansatz's gates are
+``[cost, M_1, cost, M_2, ...]``. A gate ``exp(i theta G)`` is a Pauli word or
+a diagonal phase ``exp(i theta E)`` in a frame ``F``, with ``E =
+values[index]``: the pair entangler in the pair Bell basis
+(:attr:`PoolOperator.bell_spectrum`), the cost in the eigenbasis ``W (x) W``
+of ``H`` on the data register, which is the identity for a diagonal ``H``
+(:class:`CostGate`). Their growth loops share one record and trace path
 (:class:`_Growth`).
 
 After every growth step all parameters are re-optimized by BFGS (Nocedal &
 Wright, *Numerical Optimization*, 2nd ed., Alg. 6.1) with a strong-Wolfe
 line search (Algs. 3.5/3.6), fed by the exact value and gradient of one
-adjoint pass (:func:`ansatz_value_and_gradient`).
-
-The layered hot path is pair-local. The cost layer is ``V (x) V`` with
-``V = exp(i gamma H/2)`` on the data register (:meth:`Ansatz._apply_cost_raw`),
-so nothing is exponentiated on the joint register. The entangler is one
-diagonal phase in the pair Bell basis (:func:`~gibbsprep.simcore.bell_frame`:
-a CNOT from each ancilla onto its data qubit, then ``H`` on the ancillas),
-where every ``XX``, ``YY`` and ``ZZ`` of a pair is a sign
-(:attr:`PoolOperator.bell_spectrum`). The forward pass keeps a tape, so the
-reverse pass walks back only the costate (:func:`ansatz_value_and_gradient`).
-The pool scan reads every candidate gradient from one ``2^w x 2^w`` marginal
-of ``|psi><lam|`` per support of weight ``w``, with no per-word gather table
-(qubit-ADAPT pools, arXiv:1911.10205; :func:`_pool_scan`).
+taped adjoint pass (:func:`ansatz_value_and_gradient`). The pool scan reads
+every candidate gradient from one ``2^w x 2^w`` marginal of ``|psi><lam|``
+per support of weight ``w``, with no per-word gather table (qubit-ADAPT
+pools, arXiv:1911.10205; :func:`_pool_scan`).
 
 Within one growth loop everything is deterministic given the seed; restarts
 and postselection provide the only randomness at the protocol level.
@@ -48,8 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .models import GibbsTarget, HermitianOperator
-from .objective import ObjectiveContext, objective
+from .models import GibbsTarget, HermitianOperator, joint_problem_hamiltonian
+from .objective import ObjectiveContext, objective, objective_raw
 from .simcore import (
     PauliString,
     StateVector,
@@ -102,7 +97,11 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class PoolOperator:
-    """One selectable generator: a Pauli word or the full pair entangler."""
+    """One selectable generator: a Pauli word or the full pair entangler.
+
+    As a gate, the entangler is a frame phase: :attr:`spectrum` in the frame
+    of :meth:`to_frame` and :meth:`from_frame`, as for :class:`CostGate`.
+    """
 
     kind: str  # "pauli" | "sum_entangler"
     pauli: PauliString | None
@@ -169,10 +168,81 @@ class PoolOperator:
             k = p.support[0]
             bits = {"XX": x >> k, "ZZ": y >> k, "YY": (x ^ y) >> k}[p.letters] & 1
             energies += (-c if p.letters == "YY" else c) * (1.0 - 2.0 * bits)
-        values, index = np.unique(energies, return_inverse=True)
-        for array in (energies, values, index):
-            array.setflags(write=False)
-        return energies, values, index
+        return _spectrum(energies)
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entangler's frame diagonal, :attr:`bell_spectrum`."""
+        return self.bell_spectrum
+
+    def to_frame(self, amps: np.ndarray) -> np.ndarray:
+        return to_bell_raw(amps, self.operator.n_qubits // 2)
+
+    def from_frame(self, amps: np.ndarray) -> np.ndarray:
+        return from_bell_raw(amps, self.operator.n_qubits // 2)
+
+
+def _spectrum(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(energies, values, index)`` with ``values[index] == energies``, read-only."""
+    values, index = np.unique(energies, return_inverse=True)
+    for array in (energies, values, index):
+        array.setflags(write=False)
+    return energies, values, index
+
+
+@dataclass(frozen=True)
+class CostGate:
+    """The layered cost ``exp(i gamma (H (x) 1 + 1 (x) H)/2)`` as one frame phase.
+
+    With ``H = W diag(w) W^dagger`` on the data register, the generator is
+    diagonal in the frame ``W (x) W`` with energies ``(w_a + w_d)/2`` over the
+    ``[ancilla, data]`` amplitude block. A diagonal ``H`` needs no frame: its
+    diagonal is ``w``, read without building ``H``'s matrix.
+    """
+
+    hamiltonian: HermitianOperator  # H on the data register
+    kind = "cost"  # a class attribute, not a field
+
+    @property
+    def terms(self) -> tuple[tuple[float, PauliString], ...]:
+        """The generator ``(H (x) 1 + 1 (x) H)/2`` as a sum of commuting Pauli words."""
+        mirrored = joint_problem_hamiltonian(self.hamiltonian)
+        return tuple((0.5 * c, p) for c, p in mirrored.terms)
+
+    @property
+    def cnot_cost(self) -> int:
+        """Adopted convention: 2 CNOTs per weight-2 term of ``H``."""
+        return 2 * sum(1 for _, p in self.hamiltonian.terms if p.weight == 2)
+
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(W, W^*)``, or None when ``H`` is diagonal."""
+        if self.hamiltonian.diagonal() is not None:
+            return None
+        w = self.hamiltonian.eigensystem()[1]
+        return w, w.conj()
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(energies, values, index)`` in the frame, as :attr:`PoolOperator.bell_spectrum`."""
+        h = self.hamiltonian
+        w = h.eigensystem()[0] if self._basis is not None else h.diagonal()
+        return _spectrum(0.5 * (w[:, None] + w).ravel())
+
+    def to_frame(self, amps: np.ndarray) -> np.ndarray:
+        """``(W^dagger (x) W^dagger) amps``: ``W^dagger Psi W^*`` on the block ``Psi``."""
+        if self._basis is None:
+            return amps
+        _, w_conj = self._basis
+        block = amps.reshape(w_conj.shape[0], -1)
+        return (w_conj.T @ block @ w_conj).reshape(-1)
+
+    def from_frame(self, amps: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_frame`: ``W Psi W^T``."""
+        if self._basis is None:
+            return amps
+        w, _ = self._basis
+        return (w @ amps.reshape(w.shape[0], -1) @ w.T).reshape(-1)
 
 
 def build_vqe_pool(n_total_qubits: int) -> tuple[PoolOperator, ...]:
@@ -277,25 +347,20 @@ def singlet_reference_state(n_data: int) -> StateVector:
 
 @dataclass
 class Ansatz:
-    """A reference state plus an ordered list of parameterized layers.
+    """A reference state plus an ordered list of parameterized gates.
 
-    Every layer is an optional cost unitary followed by the rotation of its
-    generator. A ``vqe`` generator is a layer without a cost unitary, so
-    ``vqe`` flavor stores one rotation angle per generator. ``qaoa`` and
-    ``baseline`` flavors interleave parameters as
-    ``[gamma_1, alpha_1, ..., gamma_n, alpha_n]``. With ``s`` parameters per
-    layer (:attr:`_stride`), layer ``k`` (counted from 0) has its mixer angle
-    at ``params[s k + s - 1]`` and its cost angle at ``params[s k + s - 2]``.
-    The layered flavors require
-    ``cost_operator`` to be the problem Hamiltonian mirrored onto both
+    Parameter ``k`` drives gate ``k`` of :attr:`gates`, which are applied
+    after the reference in order. A ``vqe`` ansatz's gates are its
+    generators. ``qaoa`` and ``baseline`` ansatzes put one cost gate
+    (:attr:`cost_gate`) before each generator, so their parameters are
+    ``[gamma_1, alpha_1, ..., gamma_n, alpha_n]``. The layered flavors
+    require ``cost_operator`` to be the problem Hamiltonian mirrored onto both
     registers, ``H (x) 1 + 1 (x) H`` with ``n_ancilla == n_data``: its terms
     are ``H``'s data-register terms followed by the same terms shifted onto
     the ancillas, as :func:`~gibbsprep.models.joint_problem_hamiltonian`
-    builds it. The cost layer then factorises as
-    ``exp(i gamma (H (x) 1 + 1 (x) H)/2) = V (x) V`` with
-    ``V = exp(i gamma H/2)`` on the data register alone
-    (:attr:`data_hamiltonian`, :meth:`_apply_cost_raw`). The reference is
-    applied first, then layer 1, layer 2, ...
+    builds it. The cost gate ``exp(i gamma (H (x) 1 + 1 (x) H)/2)`` is then a
+    phase in a frame built from ``H`` on the data register alone
+    (:attr:`data_hamiltonian`, :class:`CostGate`).
     """
 
     flavor: str
@@ -338,18 +403,24 @@ class Ansatz:
             )
         return h
 
+    @cached_property
+    def cost_gate(self) -> CostGate:
+        return CostGate(self.data_hamiltonian)
+
+    @property
+    def gates(self) -> list[PoolOperator | CostGate]:
+        """The gate program: ``params[k]`` drives ``gates[k]``."""
+        if self.flavor == "vqe":
+            return self.generators
+        return [gate for op in self.generators for gate in (self.cost_gate, op)]
+
     @property
     def n_layers(self) -> int:
         return len(self.generators)
 
     @property
-    def _stride(self) -> int:
-        """Parameters per layer: 2 with a cost unitary (``vqe``: none), else 1."""
-        return 1 if self.flavor == "vqe" else 2
-
-    @property
     def parameter_count(self) -> int:
-        return self._stride * self.n_layers
+        return len(self.gates)
 
     def prepare(self, params: np.ndarray | None = None) -> StateVector:
         """Build the full state for the given (or stored) parameters."""
@@ -360,103 +431,42 @@ class Ansatz:
             )
         return self.reference.with_amplitudes(self._build_raw(params))
 
-    # -- raw-amplitude pipelines (hot path) --------------------------------
-
-    def _cost_unitary(self, gamma: float) -> np.ndarray:
-        """``V = exp(i gamma H/2)`` of the cost layer ``V (x) V``.
-
-        For diagonal ``H`` it is the joint phase vector ``outer(v, v).ravel()``
-        with ``v = exp(i gamma h/2)``; otherwise the ``2^n x 2^n`` matrix
-        ``W diag(exp(i gamma w/2)) W^dagger`` from ``H``'s eigensystem.
-        """
-        h = self.data_hamiltonian
-        diag = h.diagonal()
-        if diag is not None:
-            v = np.exp(0.5j * gamma * diag)
-            return (v[:, None] * v).ravel()
-        values, vectors = h.eigensystem()
-        return (vectors * np.exp(0.5j * gamma * values)) @ vectors.conj().T
-
-    def _cost_unitaries(self, params: np.ndarray) -> list[np.ndarray]:
-        """One :meth:`_cost_unitary` per layer, none for the ``vqe`` flavor."""
-        if self.flavor == "vqe":
-            return []
-        return [self._cost_unitary(gamma) for gamma in params[0::2]]
-
-    def _apply_cost_raw(self, amps: np.ndarray, gamma: float) -> np.ndarray:
-        """``exp(i (gamma/2) (H (x) 1 + 1 (x) H)) amps`` from the data register alone.
-
-        The layer is ``V (x) V`` with ``V = exp(i gamma H/2)``: ``V Psi V^T``
-        on the ``(2^n_ancilla x 2^n_data)`` amplitude block ``Psi``, or one
-        phase multiply when ``H`` is diagonal. ``-gamma`` inverts it.
-        """
-        return _apply_cost(amps, self._cost_unitary(gamma))
-
-    def _cost_inner(self, psi: np.ndarray, lam: np.ndarray) -> complex:
-        """``<lam| (H (x) 1 + 1 (x) H) |psi>`` as ``vdot(Lam, H Psi + Psi H^T)``."""
-        if self._cost_energies is not None:
-            return np.vdot(lam, self._cost_energies * psi)
-        h = self.data_hamiltonian.matrix
-        block = psi.reshape(h.shape[0], -1)
-        return np.vdot(lam, h @ block + block @ h.T)
-
-    @cached_property
-    def _cost_energies(self) -> np.ndarray | None:
-        """The joint cost's diagonal ``h_a + h_d`` if ``H`` is diagonal, else None."""
-        h = self.data_hamiltonian.diagonal()
-        return None if h is None else (h[:, None] + h).ravel()
-
     def _build_raw(self, params: np.ndarray, tape: list | None = None) -> np.ndarray:
         """Final amplitudes at ``params``; the one forward pass.
 
-        Each layer applies its cost unitary (if any), then its generator: a
-        Pauli word as ``cos(a) psi + i sin(a) P psi``, the entangler as one
-        diagonal phase in the pair Bell basis ``B``
-        (:func:`~gibbsprep.simcore.bell_frame`). With a ``tape``, each layer
-        appends ``(unitary, psi_in, p_psi_or_frame_out, tables_or_phase)``:
-        the cost unitary (None without one), the generator's input, and
-        ``P psi_in`` with the word's gather tables, or the frame output
-        ``phase * B psi_in`` with the phase.
+        Applies every gate with :func:`_apply_gate`. With a ``tape``, gate
+        ``k`` appends ``(moved, aux)``: ``P psi_in`` with the word's gather
+        tables, or the frame output ``phase * F psi_in`` with the phase.
         """
         n_qubits = self.n_data + self.n_ancilla
-        cost_unitaries = self._cost_unitaries(params)
         amps = self.reference.amplitudes
-        s = self._stride
-        # Mixer angles as Python floats: per gate they cost less than numpy scalars.
-        alphas = params[s - 1 :: s].tolist()
-        for k, (op, alpha) in enumerate(zip(self.generators, alphas)):
-            unitary = cost_unitaries[k] if cost_unitaries else None
-            if unitary is not None:
-                amps = _apply_cost(amps, unitary)
-            psi_in = amps
-            if op.kind == "pauli":
-                word = op.pauli
-                tables = pauli_action_tables(n_qubits, word.support, word.letters)
-                moved = pauli_apply_raw(psi_in, *tables)
-                amps = np.cos(alpha) * psi_in + (1j * np.sin(alpha)) * moved
-                record = (unitary, psi_in, moved, tables)
-            else:
-                _, values, index = op.bell_spectrum
-                phase = np.exp(1j * alpha * values)[index]
-                moved = phase * to_bell_raw(psi_in, self.n_data)
-                amps = from_bell_raw(moved, self.n_data)
-                record = (unitary, psi_in, moved, phase)
+        # Angles as Python floats: per gate they cost less than numpy scalars.
+        for gate, theta in zip(self.gates, params.tolist()):
+            amps, moved, aux = _apply_gate(gate, theta, amps, n_qubits)
             if tape is not None:
-                tape.append(record)
+                tape.append((moved, aux))
         return amps
 
 
-def _apply_cost(amps: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """``(V (x) V) amps``, ``unitary`` in the form of :meth:`Ansatz._cost_unitary`."""
-    if unitary.ndim == 1:
-        return unitary * amps
-    block = amps.reshape(-1, unitary.shape[0])
-    return (unitary @ block @ unitary.T).reshape(-1)
+def _apply_gate(
+    gate: PoolOperator | CostGate, theta: float, amps: np.ndarray, n_qubits: int
+) -> tuple[np.ndarray, np.ndarray, tuple | np.ndarray]:
+    """``exp(i theta G) amps`` for one gate, as ``(out, moved, aux)``.
 
-
-def _objective_raw(rho: np.ndarray, ctx: ObjectiveContext) -> float:
-    cross = np.einsum("ij,ji->", ctx.target.matrix, rho).real
-    return float(-cross + 0.5 * np.vdot(rho, rho).real)
+    A Pauli word gives ``cos(theta) amps + i sin(theta) moved`` with
+    ``moved = P amps`` and ``aux`` the word's gather tables. A frame phase
+    gives ``F^dagger moved`` with ``moved = phase * F amps`` and ``aux`` the
+    ``phase = exp(i theta values)[index]``.
+    """
+    if gate.kind == "pauli":
+        word = gate.pauli
+        tables = pauli_action_tables(n_qubits, word.support, word.letters)
+        moved = pauli_apply_raw(amps, *tables)
+        return np.cos(theta) * amps + (1j * np.sin(theta)) * moved, moved, tables
+    _, values, index = gate.spectrum
+    phase = np.exp(1j * theta * values)[index]
+    moved = phase * gate.to_frame(amps)
+    return gate.from_frame(moved), moved, phase
 
 
 def _value_and_costate(
@@ -470,14 +480,14 @@ def _value_and_costate(
     rho = partial_trace_ancilla_raw(amps, ctx.n_data, n_ancilla)
     w = rho - ctx.target.matrix
     block = amps.reshape(1 << n_ancilla, 1 << ctx.n_data)
-    return _objective_raw(rho, ctx), (block @ w.T).reshape(-1)
+    return objective_raw(rho, ctx), (block @ w.T).reshape(-1)
 
 
 def ansatz_objective(ansatz: Ansatz, params: np.ndarray, ctx: ObjectiveContext) -> float:
     rho = partial_trace_ancilla_raw(
         ansatz._build_raw(np.asarray(params, float)), ansatz.n_data, ansatz.n_ancilla
     )
-    return _objective_raw(rho, ctx)
+    return objective_raw(rho, ctx)
 
 
 def ansatz_value_and_gradient(
@@ -486,49 +496,39 @@ def ansatz_value_and_gradient(
     """Objective and its exact gradient at ``params`` by one reverse pass.
 
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): the forward
-    build (:meth:`Ansatz._build_raw`) keeps a tape of every layer's input
-    and generator output, and only the costate
-    ``lam = ((rho - T) x 1_A) psi`` walks back through the layers; ``psi``
-    is read from the tape, never un-applied. Per layer, from the last:
+    build (:meth:`Ansatz._build_raw`) keeps a tape of ``(moved, aux)`` per
+    gate, and only the costate ``lam = ((rho - T) x 1_A) psi`` walks back
+    through the gates; ``psi`` is read from the tape, never un-applied. Per
+    gate ``k``, from the last:
 
-    * a Pauli word ``exp(i a P)``: ``lam`` is un-rotated to the layer input,
-      and ``dC/da = -2 Im<lam|P psi_in>``;
-    * the entangler ``B^T diag(phase) B`` in the pair Bell basis ``B``
-      (real, so ``B^dagger = B^T``): ``dC/da = -2 Im vdot(B lam, E * out)``
-      with ``E`` the entangler's frame diagonal and ``out`` the taped frame
-      output, then ``lam <- B^T (conj(phase) * B lam)``;
-    * a cost layer ``V (x) V`` (generator ``(H (x) 1 + 1 (x) H)/2``, one
-      unitary per call from the data register, :meth:`Ansatz._cost_unitary`):
-      ``dC/dgamma = -Im vdot(Lam, H Psi + Psi H^T)`` on the amplitude blocks
-      at the cost output, then ``lam`` is un-applied.
+    * a Pauli word ``exp(i theta P)``: ``lam`` is un-rotated to the gate
+      input, and ``grad[k] = -2 Im<lam|P psi_in>`` with ``P psi_in = moved``;
+    * a frame phase ``F^dagger diag(phase) F``:
+      ``grad[k] = -2 Im vdot(F lam, E * moved)`` with ``E`` the frame
+      diagonal and ``moved`` the taped frame output, then
+      ``lam <- F^dagger (conj(phase) * F lam)``.
 
     No other exponential runs. The result equals the parameter-shift rule
-    of :mod:`gibbsprep.objective`, which unrolls every generator into single
+    of :mod:`gibbsprep.objective`, which unrolls every gate into single
     Pauli words and which the tests and ``gradcheck`` use as the oracle.
     """
     params = np.asarray(params, dtype=np.float64)
     tape: list = []
     psi = ansatz._build_raw(params, tape)
     value, lam = _value_and_costate(psi, ctx, ansatz.n_ancilla)
-    grad = np.zeros(ansatz.parameter_count)
-    s = ansatz._stride
-    alphas = params[s - 1 :: s].tolist()
-    for k in reversed(range(ansatz.n_layers)):
-        op, alpha = ansatz.generators[k], alphas[k]
-        unitary, psi_in, moved, aux = tape[k]
-        if op.kind == "pauli":
+    gates, thetas = ansatz.gates, params.tolist()
+    grad = np.zeros(len(gates))
+    for k in reversed(range(len(gates))):
+        gate, theta = gates[k], thetas[k]
+        moved, aux = tape[k]
+        if gate.kind == "pauli":
             moved_lam = pauli_apply_raw(lam, *aux)
-            lam = np.cos(alpha) * lam - (1j * np.sin(alpha)) * moved_lam
-            grad[s * k + s - 1] = -2.0 * np.vdot(lam, moved).imag
+            lam = np.cos(theta) * lam - (1j * np.sin(theta)) * moved_lam
+            grad[k] = -2.0 * np.vdot(lam, moved).imag
         else:
-            lam_frame = to_bell_raw(lam, ansatz.n_data)
-            energies = op.bell_spectrum[0]
-            grad[s * k + s - 1] = -2.0 * np.vdot(lam_frame, energies * moved).imag
-            lam = from_bell_raw(aux.conj() * lam_frame, ansatz.n_data)
-        if unitary is not None:
-            grad[s * k + s - 2] = -ansatz._cost_inner(psi_in, lam).imag
-            inverse = unitary.conj() if unitary.ndim == 1 else unitary.conj().T
-            lam = _apply_cost(lam, inverse)
+            lam_frame = gate.to_frame(lam)
+            grad[k] = -2.0 * np.vdot(lam_frame, gate.spectrum[0] * moved).imag
+            lam = gate.from_frame(aux.conj() * lam_frame)
     return value, grad
 
 
@@ -700,25 +700,16 @@ class AdaptTrace:
         return d
 
 
-def _cost_layer_cnots(ansatz: Ansatz) -> int:
-    """Adopted convention: 2 CNOTs per weight-2 term of the data-register copy."""
-    return 2 * sum(1 for _, p in ansatz.data_hamiltonian.terms if p.weight == 2)
-
-
 def cnot_count(ansatz: Ansatz) -> int:
     """Two-qubit gate count of the circuit under the documented convention.
 
-    vqe: ``n_data * n_ancilla`` reference CNOTs plus 2 per weight-2
-    generator (weight-1 generators are free). qaoa/baseline: one CNOT per
-    singlet pair, then per layer the cost-layer CNOTs plus the mixer cost
-    (2 for a Pauli word, ``3 n_data`` for the entangler).
+    The reference's CNOTs (``vqe``: ``n_data * n_ancilla``; layered: one per
+    singlet pair) plus every gate's ``cnot_cost``: 2 per weight-2 Pauli word
+    (weight-1 words are free), ``3 n_data`` per entangler, and per cost gate
+    2 per weight-2 term of the data-register Hamiltonian.
     """
-    if ansatz.flavor == "vqe":
-        return ansatz.n_data * ansatz.n_ancilla + sum(
-            op.cnot_cost for op in ansatz.generators
-        )
-    per_cost = _cost_layer_cnots(ansatz)
-    return ansatz.n_data + sum(per_cost + op.cnot_cost for op in ansatz.generators)
+    reference = ansatz.n_data * (ansatz.n_ancilla if ansatz.flavor == "vqe" else 1)
+    return reference + sum(gate.cnot_cost for gate in ansatz.gates)
 
 
 class _PoolSettings:
@@ -842,11 +833,7 @@ def _pool_scan(
 def _argmax_with_ties(gradients: np.ndarray) -> int:
     """Largest |gradient|; differences below 1e-12 count as ties, first wins."""
     magnitudes = np.abs(gradients)
-    best = float(magnitudes.max())
-    for j, m in enumerate(magnitudes):
-        if best - m < TIE_TOLERANCE:
-            return j
-    raise AssertionError("unreachable")
+    return int(np.flatnonzero(magnitudes.max() - magnitudes < TIE_TOLERANCE)[0])
 
 
 class _Growth:
@@ -1022,8 +1009,10 @@ def _grow_layered_ansatz(
         t0 = time.perf_counter()
         chosen, gradient = entangler, None
         if select:
-            # Candidates are ranked on top of the new layer's cost unitary at gamma0.
-            raw = ansatz._apply_cost_raw(growth.state.amplitudes, gamma0)
+            # Candidates are ranked on top of the new layer's cost gate at gamma0.
+            raw, _, _ = _apply_gate(
+                ansatz.cost_gate, gamma0, growth.state.amplitudes, growth.state.n_total
+            )
             chosen, gradient = growth.scan(ansatz.reference.with_amplitudes(raw))
         growth.step(t0, chosen, gradient, (gamma0, 0.0))
     return ansatz, growth.trace(seed, float(gamma0), "max_iters")
@@ -1042,7 +1031,7 @@ def adapt_qaoa_run(
     evaluated at (alpha = 0, gamma = gamma0) on top of the optimized
     previous layers; gamma0 stays constant throughout the run. The new layer
     is initialized at (gamma0, 0), which leaves the objective unchanged
-    because the cost unitary commutes with the target, so the optimized
+    because the cost gate commutes with the target, so the optimized
     objective is nonincreasing across layers.
     """
     return _grow_layered_ansatz(

@@ -32,6 +32,7 @@ import numpy as np
 from .adapt import (
     DEFAULT_QAOA_RESTARTS,
     DEFAULT_VQE_RESTARTS,
+    ENTANGLER_LABEL,
     Ansatz,
     MAX_QAOA_LAYERS,
     NumericalFailure,
@@ -445,7 +446,7 @@ def replay_state(trace: dict, n_data: int, n_ancilla: int) -> StateVector:
         raise ValueError(f"unknown reference kind {spec['kind']!r}")
     generators = []
     for label in trace["generator_labels"]:
-        if label == "ENTANGLER":
+        if label == ENTANGLER_LABEL:
             generators.append(
                 PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
             )
@@ -515,22 +516,16 @@ def _shift_rule_gradient(
 ) -> np.ndarray:
     """Full gradient from the two-point shift rule, one Pauli word at a time.
 
-    The ansatz is unrolled into single-word rotations (layered cost and mixer
-    generators are commuting Pauli sums), and the chain rule maps each word's
-    derivative back onto its parameter.
+    The ansatz is unrolled into single-word rotations (every gate's
+    generator is a commuting Pauli sum), and the chain rule maps each word's
+    derivative back onto the parameter of its gate.
     """
     words, owners, scales = [], [], []
-    for k, op in enumerate(ansatz.generators):
-        if ansatz.flavor == "vqe":
-            layer = [(k, 1.0, op.terms)]
-        else:
-            cost = ansatz.cost_operator.terms
-            layer = [(2 * k, 0.5, cost), (2 * k + 1, 1.0, op.terms)]
-        for index, scale, terms in layer:
-            for c, p in terms:
-                words.append(PoolOperator.from_pauli(p))
-                owners.append(index)
-                scales.append(scale * c)
+    for k, gate in enumerate(ansatz.gates):
+        for c, p in gate.terms:
+            words.append(PoolOperator.from_pauli(p))
+            owners.append(k)
+            scales.append(c)
     unrolled = Ansatz(
         flavor="vqe",
         n_data=ansatz.n_data,

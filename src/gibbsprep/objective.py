@@ -33,7 +33,6 @@ from .simcore import (
     StateVector,
     partial_trace_ancilla,
     pauli_rotation,
-    purity,
 )
 
 PrepareFn = Callable[[np.ndarray], StateVector]
@@ -59,8 +58,13 @@ def objective(rho: DensityMatrix, ctx: ObjectiveContext) -> float:
     """C(rho) = -Tr(T rho) + Tr(rho^2)/2."""
     if rho.dim != ctx.target.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {ctx.target.dim}")
-    cross = np.einsum("ij,ji->", ctx.target.matrix, rho.entries).real
-    return float(-cross + 0.5 * purity(rho))
+    return objective_raw(rho.entries, ctx)
+
+
+def objective_raw(rho: np.ndarray, ctx: ObjectiveContext) -> float:
+    """:func:`objective` of a raw ``(2^n_data, 2^n_data)`` array, unchecked."""
+    cross = np.einsum("ij,ji->", ctx.target.matrix, rho).real
+    return float(-cross + 0.5 * np.vdot(rho, rho).real)
 
 
 def auxiliary_objective(

@@ -43,6 +43,7 @@ from gibbsprep.adapt import (
     PoolOperator,
     QaoaSettings,
     VqeSettings,
+    _apply_gate,
     ansatz_value_and_gradient,
     reference_from_angles,
 )
@@ -288,21 +289,25 @@ def cost_model(name, n):
 
 
 class TestCostLayer:
-    """``V (x) V`` from the data register against the dense 2n-qubit exponential."""
+    """The cost gate from the data register against the dense 2n-qubit exponential."""
 
     @pytest.mark.parametrize("model", ["ising", "xx", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_dense_exponential(self, model, n, rng):
         ansatz = layered_ansatz("baseline", n, cost_model(model, n), [], np.zeros(0))
         assert (ansatz.data_hamiltonian.diagonal() is None) == (model != "ising")
+        cost = ansatz.cost_gate
         joint = dense_operator(ansatz.cost_operator)
         psi = random_state(n, n, rng).amplitudes
         lam = random_state(n, n, rng).amplitudes
         gamma = rng.uniform(-np.pi, np.pi)
         for g in (gamma, -gamma):  # forward and inverse
             expected = dense_exponential(joint, g / 2) @ psi
-            assert np.abs(ansatz._apply_cost_raw(psi, g) - expected).max() <= 1e-13
-        assert abs(ansatz._cost_inner(psi, lam) - np.vdot(lam, joint @ psi)) <= 1e-13
+            out, _, _ = _apply_gate(cost, g, psi, 2 * n)
+            assert np.abs(out - expected).max() <= 1e-13
+        # The generator (H (x) 1 + 1 (x) H)/2 is F^dagger diag(energies) F.
+        inner = np.vdot(cost.to_frame(lam), cost.spectrum[0] * cost.to_frame(psi))
+        assert abs(2 * inner - np.vdot(lam, joint @ psi)) <= 1e-13
 
     def test_diagonal_phase_action(self, rng):
         n, gamma = 3, 0.74
@@ -315,7 +320,28 @@ class TestCostLayer:
         joint = (energies[:, None] + energies[None, :]).ravel()  # ancilla bits high
         psi = random_state(n, n, rng).amplitudes
         expected = np.exp(0.5j * gamma * joint) * psi
-        assert np.abs(ansatz._apply_cost_raw(psi, gamma) - expected).max() <= 1e-13
+        out, _, _ = _apply_gate(ansatz.cost_gate, gamma, psi, 2 * n)
+        assert np.abs(out - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("model", ["ising", "xx", "complex"])
+    def test_spectrum_values_index_the_energies(self, model):
+        n = 3
+        ansatz = layered_ansatz("baseline", n, cost_model(model, n), [], np.zeros(0))
+        energies, values, index = ansatz.cost_gate.spectrum
+        assert np.array_equal(values[index], energies)
+        generator = dense_operator(ansatz.cost_operator) / 2
+        assert np.abs(np.sort(energies) - np.linalg.eigvalsh(generator)).max() <= 1e-13
+
+    def test_diagonal_cost_builds_no_matrix(self, rng):
+        """A diagonal ``H`` gets the identity frame: no matrix, no ``eigh``."""
+        n = 3
+        h_data = ising_hamiltonian(n)
+        ctx = ObjectiveContext(gibbs_state(h_data, 0.7), n, n)
+        pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+        params = rng.uniform(-np.pi, np.pi, 4)
+        ansatz = layered_ansatz("qaoa", n, h_data, [pool[-1], pool[5]], params)
+        ansatz_value_and_gradient(ansatz, params, ctx)
+        assert not {"matrix", "_eigensystem"} & ansatz.data_hamiltonian.__dict__.keys()
 
     def test_rejects_cost_that_is_not_mirrored(self):
         n = 2
