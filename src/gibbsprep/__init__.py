@@ -3,7 +3,21 @@
 Exact statevector simulation of two ansatz-growth strategies that minimize
 the quadratic objective ``-Tr(T rho) + Tr(rho^2)/2`` for a normalized
 thermal target T, with exact adjoint gradients checked against the
-parameter-shift rule.
+parameter-shift rule (:func:`shift_rule_gradient`).
+
+One ADAPT-VQE restart on a two-site Ising chain at beta = 1 with one
+ancilla qubit, grown until the pool-gradient norm drops below ``epsilon``:
+
+>>> from gibbsprep import (ObjectiveContext, VqeSettings, adapt_vqe_run,
+...     build_vqe_pool, gibbs_state, ising_hamiltonian, max_fidelity_bound)
+>>> target = gibbs_state(ising_hamiltonian(2), beta=1.0)
+>>> ctx = ObjectiveContext(target, n_data=2, n_ancilla=1)
+>>> settings = VqeSettings(pool=build_vqe_pool(3), epsilon=1e-3)
+>>> ansatz, trace = adapt_vqe_run(settings, ctx, target, seed=7)
+>>> trace.termination, len(ansatz.generators)
+('threshold', 2)
+>>> round(trace.final_fidelity, 3), round(max_fidelity_bound(target, n_ancilla=1), 3)
+(0.965, 0.982)
 """
 
 from .adapt import (
@@ -11,7 +25,9 @@ from .adapt import (
     Ansatz,
     NumericalFailure,
     PoolOperator,
+    QaoaSettings,
     RestartOutcome,
+    VqeSettings,
     adapt_qaoa_run,
     adapt_vqe_run,
     baseline_qaoa_run,
@@ -37,10 +53,8 @@ from .models import (
 from .objective import (
     ObjectiveContext,
     auxiliary_objective,
-    candidate_gradient,
     objective,
-    shift_gradient,
-    sum_generator_gradient,
+    shift_rule_gradient,
 )
 from .simcore import (
     DensityMatrix,
@@ -49,7 +63,6 @@ from .simcore import (
     fidelity,
     partial_trace_ancilla,
     pauli_rotation,
-    purity,
 )
 
 __version__ = "0.1.0"
@@ -64,15 +77,16 @@ __all__ = [
     "ObjectiveContext",
     "PauliString",
     "PoolOperator",
+    "QaoaSettings",
     "RestartOutcome",
     "StateVector",
+    "VqeSettings",
     "adapt_qaoa_run",
     "adapt_vqe_run",
     "auxiliary_objective",
     "baseline_qaoa_run",
     "build_qaoa_pool",
     "build_vqe_pool",
-    "candidate_gradient",
     "cnot_count",
     "entangling_hamiltonian",
     "fidelity",
@@ -84,11 +98,9 @@ __all__ = [
     "optimize_fixed_ansatz",
     "partial_trace_ancilla",
     "pauli_rotation",
-    "purity",
     "restart_postselect",
-    "shift_gradient",
+    "shift_rule_gradient",
     "singlet_reference_state",
-    "sum_generator_gradient",
     "truncated_target",
     "vqe_reference_state",
     "xy_hamiltonian",

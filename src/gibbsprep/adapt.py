@@ -378,8 +378,8 @@ class Ansatz:
         if self.flavor in ("qaoa", "baseline"):
             if self.cost_operator is None:
                 raise ValueError(f"{self.flavor} ansatz needs a cost operator")
-            # The shift-rule oracle splits the cost exponential term by term,
-            # which is only exact for mutually commuting terms.
+            # objective.shift_rule_gradient unrolls the cost gate into one
+            # rotation per term, which is exact only for commuting terms.
             if not self.cost_operator.terms_commute():
                 raise ValueError(
                     "cost operator terms must mutually commute for layered ansatz"
@@ -413,10 +413,6 @@ class Ansatz:
         if self.flavor == "vqe":
             return self.generators
         return [gate for op in self.generators for gate in (self.cost_gate, op)]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.generators)
 
     @property
     def parameter_count(self) -> int:
@@ -508,9 +504,9 @@ def ansatz_value_and_gradient(
       diagonal and ``moved`` the taped frame output, then
       ``lam <- F^dagger (conj(phase) * F lam)``.
 
-    No other exponential runs. The result equals the parameter-shift rule
-    of :mod:`gibbsprep.objective`, which unrolls every gate into single
-    Pauli words and which the tests and ``gradcheck`` use as the oracle.
+    No other exponential runs. The tests and ``gradcheck`` check the result
+    against :func:`~gibbsprep.objective.shift_rule_gradient`, which unrolls
+    every gate into single-word rotations.
     """
     params = np.asarray(params, dtype=np.float64)
     tape: list = []
@@ -808,11 +804,11 @@ def _pool_scan(
     """Candidate gradient of every pool operator at ``state``, in pool order.
 
     Appending ``exp(i theta G)`` at theta = 0 gives ``-2 Im<lam|G psi>``
-    with one costate ``lam`` for the whole pool; this is the quantity
-    :func:`candidate_gradient` / :func:`sum_generator_gradient` compute
-    with the shift rule (their equality is pinned by tests). No term is
-    gathered: each support gets one marginal ``M = Tr_rest |psi><lam|``
-    (4 x 4 for a pair, 2 x 2 for a qubit), every term ``c P`` on it adds
+    with one costate ``lam`` for the whole pool. The tests check each entry
+    against :func:`~gibbsprep.objective.shift_rule_gradient` of a one-gate
+    ansatz on ``state`` at theta = 0. No term is gathered: each support
+    gets one marginal ``M = Tr_rest |psi><lam|`` (4 x 4 for a pair, 2 x 2
+    for a qubit), every term ``c P`` on it adds
     ``-2 c Im Tr(P M)`` to its operator's entry, and the entangler's entry
     sums its terms (qubit-ADAPT pools, arXiv:1911.10205). ``groups`` is
     :func:`_terms_by_support` of ``pool``, built here unless given.

@@ -58,7 +58,7 @@ from .models import (
     truncated_target,
     xy_hamiltonian,
 )
-from .objective import ObjectiveContext, objective, shift_gradient
+from .objective import ObjectiveContext, objective, shift_rule_gradient
 from .simcore import PauliString, StateVector, partial_trace_ancilla
 
 MODEL_BUILDERS = {"ising": ising_hamiltonian, "xy": xy_hamiltonian}
@@ -511,37 +511,6 @@ class GradcheckReport:
         return out
 
 
-def _shift_rule_gradient(
-    ansatz: Ansatz, params: np.ndarray, ctx: ObjectiveContext
-) -> np.ndarray:
-    """Full gradient from the two-point shift rule, one Pauli word at a time.
-
-    The ansatz is unrolled into single-word rotations (every gate's
-    generator is a commuting Pauli sum), and the chain rule maps each word's
-    derivative back onto the parameter of its gate.
-    """
-    words, owners, scales = [], [], []
-    for k, gate in enumerate(ansatz.gates):
-        for c, p in gate.terms:
-            words.append(PoolOperator.from_pauli(p))
-            owners.append(k)
-            scales.append(c)
-    unrolled = Ansatz(
-        flavor="vqe",
-        n_data=ansatz.n_data,
-        n_ancilla=ansatz.n_ancilla,
-        reference=ansatz.reference,
-        reference_spec=ansatz.reference_spec,
-        generators=words,
-    )
-    angles = params[owners] * scales
-    weighted = [
-        scale * shift_gradient(unrolled.prepare, i, angles, ctx)
-        for i, scale in enumerate(scales)
-    ]
-    return np.bincount(owners, weights=weighted, minlength=params.size)
-
-
 def gradcheck(seed: int, trials: int) -> GradcheckReport:
     """Shift rule vs central differences, and the adjoint engine vs the shift rule.
 
@@ -567,8 +536,8 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
             target = gibbs_state(model, beta)
         ctx = ObjectiveContext(target, 2, 2)
         if trial % GRADCHECK_LAYERED_PERIOD == GRADCHECK_LAYERED_PERIOD - 1:
-            n_layers = int(rng.integers(1, 4))
-            drawn = rng.integers(0, len(qaoa_pool), n_layers - 1)
+            depth = int(rng.integers(1, 4))
+            drawn = rng.integers(0, len(qaoa_pool), depth - 1)
             ansatz = Ansatz(
                 flavor="qaoa",
                 n_data=2,
@@ -578,15 +547,13 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
                 generators=[qaoa_pool[-1]] + [qaoa_pool[int(i)] for i in drawn],
                 cost_operator=joint_problem_hamiltonian(model),
             )
-            params = rng.uniform(-np.pi, np.pi, 2 * n_layers)
+            params = rng.uniform(-np.pi, np.pi, 2 * depth)
         else:
             reference = reference_from_angles(2, 2, rng.uniform(0, 2 * np.pi, size=4))
-            n_layers = int(rng.integers(2, 6))
-            chosen = [pool[int(i)] for i in rng.integers(0, len(pool), n_layers)]
+            depth = int(rng.integers(2, 6))
+            chosen = [pool[int(i)] for i in rng.integers(0, len(pool), depth)]
             params = (
-                np.zeros(n_layers)
-                if trial == 0
-                else rng.uniform(-np.pi, np.pi, n_layers)
+                np.zeros(depth) if trial == 0 else rng.uniform(-np.pi, np.pi, depth)
             )
             ansatz = Ansatz(
                 flavor="vqe",
@@ -600,7 +567,7 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
         def value_at(x: np.ndarray) -> float:
             return objective(partial_trace_ancilla(ansatz.prepare(x)), ctx)
 
-        exact = _shift_rule_gradient(ansatz, params, ctx)
+        exact = shift_rule_gradient(ansatz, params, ctx)
         h = 1e-5
         deviations = np.zeros(params.size)
         for index in range(params.size):

@@ -1,41 +1,33 @@
-"""Entropy-free objective, two-state auxiliary form, and shift-rule gradients.
+"""Entropy-free objective, two-state auxiliary form, and the shift-rule oracle.
 
 The objective is ``C(rho) = -Tr(T rho) + Tr(rho^2)/2`` for a normalized target
 operator T. With an exact thermal target it equals
 ``||rho - T||_F^2 / 2 - Tr(T^2)/2``, so its unique minimizer is T itself; with
 a truncated surrogate the same quadratic form is optimized as-is.
 
-The gradients here use the parameter-shift identity through the auxiliary
-function ``aux(theta, phi) = -Tr(T rho(theta)) + Tr(rho(theta) rho(phi))``:
-for a parameter whose generator is i*P with P a Pauli word (two eigenvalues,
-+-1, hence shift radius pi/4), the derivative of C at theta equals
-``aux(theta + pi/4, theta) - aux(theta - pi/4, theta)``.  The rule is exact
-for such generators, not a finite-difference approximation, and it is the
-rule a quantum device can measure.
-
-The optimizer and the pool scan do not use these functions: they take the
-adjoint (reverse-pass) gradient of :func:`gibbsprep.adapt.ansatz_value_and_gradient`,
-which costs one pass over the layers. The shift rule is kept as the oracle
-that the tests and ``gibbsprep gradcheck`` compare the adjoint engine with.
+:func:`shift_rule_gradient` is the parameter-shift oracle. Through
+``aux(theta, phi) = -Tr(T rho(theta)) + Tr(rho(theta) rho(phi))``, a rotation
+``exp(i theta P)`` by a Pauli word P (eigenvalues +-1, shift radius pi/4) has
+``dC/dtheta = aux(theta + pi/4, theta) - aux(theta - pi/4, theta)``: exact, not
+a finite difference, and measurable on a device. The optimizer and the pool
+scan take the adjoint gradient of :func:`gibbsprep.adapt.ansatz_value_and_gradient`
+instead; the tests and ``gibbsprep gradcheck`` check it against this oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .models import GibbsTarget, HermitianOperator
+from .models import GibbsTarget
 from .simcore import (
     DensityMatrix,
-    PauliString,
     StateVector,
     partial_trace_ancilla,
-    pauli_rotation,
+    pauli_action_tables,
+    pauli_rotate_raw,
 )
-
-PrepareFn = Callable[[np.ndarray], StateVector]
 
 
 @dataclass(frozen=True)
@@ -83,54 +75,39 @@ def auxiliary_objective(
     return float(-cross + overlap)
 
 
-def shift_gradient(
-    prepare: PrepareFn,
-    index: int,
-    params: np.ndarray,
-    ctx: ObjectiveContext,
-) -> float:
-    """dC/dparams[index] via the two-point shift rule with radius pi/4.
+def shift_rule_gradient(ansatz, params: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
+    """dC/dparams of ``ansatz`` at ``params`` by the two-point shift rule.
 
-    The caller guarantees that the parameter multiplies a single Pauli word
-    ``i*P``. Sums of commuting words must be decomposed first, see
-    :func:`sum_generator_gradient`.
+    Reads only ``ansatz.reference`` and ``ansatz.gates``. Gate ``k`` unrolls
+    into the rotations ``exp(i params[k] c_j P_j)`` of its commuting ``terms``,
+    and each word's ``aux(+pi/4) - aux(-pi/4)`` against the unshifted state
+    adds ``c_j`` times itself to ``params[k]``. A pool operator's candidate
+    gradient at a state is the entry of the one-gate ansatz on it at 0.
     """
+    reference = ansatz.reference
+    tables, owners, scales = [], [], []
+    for k, gate in enumerate(ansatz.gates):
+        for c, p in gate.terms:
+            tables.append(pauli_action_tables(reference.n_total, p.support, p.letters))
+            owners.append(k)
+            scales.append(c)
     params = np.asarray(params, dtype=np.float64)
-    base = prepare(params)
-    plus = params.copy()
-    plus[index] += np.pi / 4
-    minus = params.copy()
-    minus[index] -= np.pi / 4
-    return float(
-        auxiliary_objective(prepare(plus), base, ctx)
-        - auxiliary_objective(prepare(minus), base, ctx)
-    )
+    angles = (params[owners] * scales).tolist()
 
+    def run(amps: np.ndarray, start: int) -> np.ndarray:
+        for word, theta in zip(tables[start:], angles[start:]):
+            amps = pauli_rotate_raw(amps, *word, theta)
+        return amps
 
-def candidate_gradient(
-    state: StateVector, p: PauliString, ctx: ObjectiveContext
-) -> float:
-    """dC/dtheta at theta = 0 for appending ``exp(i theta P)`` to ``state``."""
-    plus = pauli_rotation(state, p, np.pi / 4)
-    minus = pauli_rotation(state, p, -np.pi / 4)
-    return float(
-        auxiliary_objective(plus, state, ctx)
-        - auxiliary_objective(minus, state, ctx)
-    )
-
-
-def sum_generator_gradient(
-    state: StateVector,
-    operator: HermitianOperator,
-    ctx: ObjectiveContext,
-) -> float:
-    """Gradient for appending ``exp(i alpha H)`` with H a commuting Pauli sum.
-
-    Because the terms commute, the exponential factorizes and the derivative
-    is the coefficient-weighted sum of per-term candidate gradients.
-    """
-    if not operator.terms_commute():
-        raise ValueError("generator terms do not mutually commute")
-    return float(
-        sum(c * candidate_gradient(state, p, ctx) for c, p in operator.terms)
-    )
+    base = reference.with_amplitudes(run(reference.amplitudes, 0))
+    weighted = []
+    amps = reference.amplitudes  # the input of word i
+    for i, (word, scale, theta) in enumerate(zip(tables, scales, angles)):
+        plus, minus = (
+            reference.with_amplitudes(run(pauli_rotate_raw(amps, *word, theta + s), i + 1))
+            for s in (np.pi / 4, -np.pi / 4)
+        )
+        aux_plus, aux_minus = (auxiliary_objective(x, base, ctx) for x in (plus, minus))
+        weighted.append(scale * (aux_plus - aux_minus))
+        amps = pauli_rotate_raw(amps, *word, theta)
+    return np.bincount(owners, weights=weighted, minlength=params.size)

@@ -274,11 +274,6 @@ def partial_trace_ancilla(state: StateVector) -> DensityMatrix:
     )
 
 
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); equals the squared Frobenius norm for Hermitian input."""
-    return float(np.vdot(rho.entries, rho.entries).real)
-
-
 def _checked_eigvalsh(matrix: np.ndarray, what: str) -> np.ndarray:
     values = np.linalg.eigvalsh(matrix)
     if values[0] < EIGENVALUE_FLOOR:

@@ -1,15 +1,23 @@
-"""Shared fixtures and independent dense oracles.
+"""Shared fixtures, independent dense oracles, and gradient helpers.
 
 The kron-based builders here deliberately avoid the package's own
 permutation-table machinery so that tests cross-check two implementations.
 Little-endian convention: qubit 0 is the least-significant bit, so the
-highest qubit is the first factor in the Kronecker product.
+highest qubit is the first factor in the Kronecker product. The gradient
+helpers are central differences and the shift-rule candidate gradient.
 """
 
 import numpy as np
 import pytest
 
-from gibbsprep import DensityMatrix, StateVector
+from gibbsprep import (
+    Ansatz,
+    DensityMatrix,
+    StateVector,
+    objective,
+    partial_trace_ancilla,
+    shift_rule_gradient,
+)
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -46,6 +54,44 @@ def random_state(n_data, n_ancilla, rng):
     dim = 1 << (n_data + n_ancilla)
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(n_data, n_ancilla, amps / np.linalg.norm(amps))
+
+
+def purity(rho):
+    """Tr(rho^2) of a DensityMatrix, as the trace of the matrix product."""
+    return float(np.trace(rho.entries @ rho.entries).real)
+
+
+def central_difference(prepare, params, ctx, h=1e-5):
+    """Central-difference gradient of C(prepare(params)), step ``h`` per entry."""
+    params = np.asarray(params, dtype=float)
+
+    def value_at(x):
+        return objective(partial_trace_ancilla(prepare(x)), ctx)
+
+    grad = np.zeros(params.size)
+    for i in range(params.size):
+        plus, minus = params.copy(), params.copy()
+        plus[i] += h
+        minus[i] -= h
+        grad[i] = (value_at(plus) - value_at(minus)) / (2 * h)
+    return grad
+
+
+def candidate_gradient(state, op, ctx):
+    """The shift-rule gradient for appending the pool operator ``op`` to ``state``.
+
+    The last entry of ``shift_rule_gradient`` for the one-gate ansatz on
+    ``state`` at theta = 0; the pool scan's entry for ``op``.
+    """
+    one_gate = Ansatz(
+        flavor="vqe",
+        n_data=state.n_data,
+        n_ancilla=state.n_ancilla,
+        reference=state,
+        reference_spec={"kind": "given"},
+        generators=[op],
+    )
+    return shift_rule_gradient(one_gate, np.zeros(1), ctx)[-1]
 
 
 def random_density(dim, rng):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: subcommands, overrides, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -125,14 +126,15 @@ class TestSweepCommands:
 
 class TestImports:
     @staticmethod
-    def loaded_after_cli_import(module):
-        """Whether ``import gibbsprep.cli`` in a fresh interpreter loads ``module``."""
+    @functools.cache
+    def modules_after_cli_import():
+        """``sys.modules`` after ``import gibbsprep.cli`` in a fresh interpreter."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(src), env.get("PYTHONPATH")) if p
         )
-        probe = f"import sys, gibbsprep.cli; print({module!r} in sys.modules)"
+        probe = "import sys, gibbsprep.cli; print(*sys.modules, sep='\\n')"
         done = subprocess.run(
             [sys.executable, "-c", probe],
             env=env,
@@ -140,13 +142,17 @@ class TestImports:
             text=True,
             check=True,
         )
-        return done.stdout.strip() == "True"
+        return frozenset(done.stdout.split())
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        assert not self.loaded_after_cli_import("scipy")
+        assert "scipy" not in self.modules_after_cli_import()
 
     def test_cli_import_leaves_worker_pool_unloaded(self):
-        assert not self.loaded_after_cli_import("concurrent.futures.process")
+        assert "concurrent.futures.process" not in self.modules_after_cli_import()
+
+    def test_cli_import_leaves_doctest_unloaded(self):
+        # The package docstring's example runs from the tests, not on import.
+        assert "doctest" not in self.modules_after_cli_import()
 
 
 class TestGradcheckCommand:

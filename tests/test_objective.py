@@ -1,34 +1,41 @@
-"""Objective, auxiliary two-state form, and shift-rule gradient tests.
+"""Objective, auxiliary two-state form, and shift-rule oracle tests.
 
-Finite differences appear here only as oracles; the production gradient
-path is the exact two-point shift rule.
+Finite differences appear here only as oracles. The production gradient
+path is the adjoint engine of ``gibbsprep.adapt``; the exact two-point
+shift rule (``shift_rule_gradient``) is the oracle it is checked against.
 """
 
 import numpy as np
 import pytest
 
 from gibbsprep import (
+    Ansatz,
     GibbsTarget,
     HermitianOperator,
     ObjectiveContext,
     PauliString,
+    PoolOperator,
     StateVector,
     auxiliary_objective,
     build_vqe_pool,
-    candidate_gradient,
     entangling_hamiltonian,
     gibbs_state,
     ising_hamiltonian,
     objective,
     partial_trace_ancilla,
-    pauli_rotation,
-    purity,
-    shift_gradient,
+    shift_rule_gradient,
     singlet_reference_state,
-    sum_generator_gradient,
     xy_hamiltonian,
 )
-from conftest import dense_exponential, dense_operator, random_density, random_state
+from conftest import (
+    candidate_gradient,
+    central_difference,
+    dense_exponential,
+    dense_operator,
+    purity,
+    random_density,
+    random_state,
+)
 
 
 def make_ctx(n_data=2, n_ancilla=2, beta=1.0, model=ising_hamiltonian):
@@ -45,27 +52,27 @@ def purification(target, n_data):
     return StateVector(n_data, n_data, amps)
 
 
-def chain_prepare(reference, paulis):
-    def prepare(params):
-        state = reference
-        for p, theta in zip(paulis, params):
-            state = pauli_rotation(state, p, float(theta))
-        return state
-
-    return prepare
-
-
-def objective_of(prepare, params, ctx):
-    return objective(partial_trace_ancilla(prepare(params)), ctx)
+def pauli_chain(reference, paulis):
+    """A ``vqe`` ansatz of one rotation per word on ``reference``."""
+    return Ansatz(
+        flavor="vqe",
+        n_data=reference.n_data,
+        n_ancilla=reference.n_ancilla,
+        reference=reference,
+        reference_spec={"kind": "given"},
+        generators=[PoolOperator.from_pauli(p) for p in paulis],
+    )
 
 
-def fd_gradient(prepare, index, params, ctx, h=1e-5):
-    plus = np.array(params, dtype=float)
-    plus[index] += h
-    minus = np.array(params, dtype=float)
-    minus[index] -= h
-    return (objective_of(prepare, plus, ctx) - objective_of(prepare, minus, ctx)) / (
-        2 * h
+def pauli_gradient(state, p, ctx):
+    """Candidate gradient of appending ``exp(i theta P)`` to ``state``."""
+    return candidate_gradient(state, PoolOperator.from_pauli(p), ctx)
+
+
+def entangler_gradient(state, h_ad, ctx):
+    """Candidate gradient of appending ``exp(i alpha H_AD)`` to ``state``."""
+    return candidate_gradient(
+        state, PoolOperator.from_entangler(h_ad, state.n_data), ctx
     )
 
 
@@ -147,27 +154,28 @@ class TestShiftGradient:
             PauliString((1,), "Z"),
             PauliString((1, 3), "ZX"),
         ]
-        prepare = chain_prepare(reference, paulis)
+        ansatz = pauli_chain(reference, paulis)
         params = rng.uniform(-np.pi, np.pi, 3)
-        for index in range(3):
-            exact = shift_gradient(prepare, index, params, ctx)
-            approx = fd_gradient(prepare, index, params, ctx)
-            assert abs(exact - approx) < 1e-6
+        exact = shift_rule_gradient(ansatz, params, ctx)
+        approx = central_difference(ansatz.prepare, params, ctx)
+        assert np.abs(exact - approx).max() < 1e-6
 
     def test_phase_only_parameter_has_zero_gradient(self):
         ctx = make_ctx()
         reference = StateVector.computational_basis(2, 2, index=0b0101)
-        prepare = chain_prepare(reference, [PauliString((3,), "Z")])
-        grad = shift_gradient(prepare, 0, np.array([0.4]), ctx)
-        assert abs(grad) < 1e-14
+        ansatz = pauli_chain(reference, [PauliString((3,), "Z")])
+        grad = shift_rule_gradient(ansatz, np.array([0.4]), ctx)
+        assert abs(grad[0]) < 1e-14
 
 
 class TestCandidateGradient:
+    """The oracle's last entry for one appended gate at theta = 0."""
+
     def test_zero_at_exact_target_purification(self):
         ctx = make_ctx(beta=0.9)
         state = purification(ctx.target, 2)
         for op in build_vqe_pool(4):
-            assert abs(candidate_gradient(state, op.pauli, ctx)) < 1e-12
+            assert abs(candidate_gradient(state, op, ctx)) < 1e-12
 
     def test_ancilla_only_rotation_cannot_change_data(self, rng):
         ctx = make_ctx()
@@ -176,7 +184,7 @@ class TestCandidateGradient:
         amps = np.kron(anc.amplitudes, data.amplitudes)
         state = StateVector(2, 2, amps)
         for p in (PauliString((2, 3), "XY"), PauliString((3,), "Y")):
-            assert abs(candidate_gradient(state, p, ctx)) < 1e-13
+            assert abs(pauli_gradient(state, p, ctx)) < 1e-13
 
     def test_matches_finite_difference(self, rng):
         ctx = make_ctx(model=xy_hamiltonian, beta=0.6)
@@ -184,10 +192,9 @@ class TestCandidateGradient:
             state = random_state(2, 2, rng)
             q = sorted(rng.choice(4, size=2, replace=False))
             p = PauliString((int(q[0]), int(q[1])), "XZ")
-            prepare = chain_prepare(state, [p])
-            exact = candidate_gradient(state, p, ctx)
-            approx = fd_gradient(prepare, 0, np.zeros(1), ctx)
-            assert abs(exact - approx) < 1e-6
+            exact = pauli_gradient(state, p, ctx)
+            approx = central_difference(pauli_chain(state, [p]).prepare, [0.0], ctx)
+            assert abs(exact - approx[0]) < 1e-6
 
     def test_linear_in_target_matrix(self, rng):
         t1 = gibbs_state(ising_hamiltonian(2), 0.5)
@@ -204,16 +211,18 @@ class TestCandidateGradient:
         ctxs = [
             ObjectiveContext(t, 2, 2) for t in (t1, t2, combo)
         ]
-        g1, g2, gc = (candidate_gradient(state, p, c) for c in ctxs)
+        g1, g2, gc = (pauli_gradient(state, p, c) for c in ctxs)
         assert abs(gc - (lam * g1 + (1 - lam) * g2)) < 1e-12
 
 
 class TestSumGeneratorGradient:
+    """One gate whose generator is a sum of commuting words: the pair entangler."""
+
     def test_zero_at_entangler_ground_with_flat_target(self):
         ctx = make_ctx(beta=0.0)
         state = singlet_reference_state(2)
         h_ad = entangling_hamiltonian(2)
-        assert abs(sum_generator_gradient(state, h_ad, ctx)) < 1e-13
+        assert abs(entangler_gradient(state, h_ad, ctx)) < 1e-13
 
     def test_matches_finite_difference_along_alpha(self, rng):
         ctx = make_ctx(beta=0.8)
@@ -224,28 +233,25 @@ class TestSumGeneratorGradient:
             unitary = dense_exponential(dense_operator(h_ad), float(params[0]))
             return state.with_amplitudes(unitary @ state.amplitudes)
 
-        exact = sum_generator_gradient(state, h_ad, ctx)
-        approx = fd_gradient(prepare, 0, np.zeros(1), ctx)
-        assert abs(exact - approx) < 1e-6
+        exact = entangler_gradient(state, h_ad, ctx)
+        approx = central_difference(prepare, [0.0], ctx)
+        assert abs(exact - approx[0]) < 1e-6
 
     def test_single_pair_equals_term_sum(self, rng):
         h = HermitianOperator(1, ((-1.0, PauliString((0,), "Z")),))
         ctx = ObjectiveContext(gibbs_state(h, 1.0), 1, 1)
         h_ad = entangling_hamiltonian(1)
         state = random_state(1, 1, rng)
-        total = sum_generator_gradient(state, h_ad, ctx)
+        total = entangler_gradient(state, h_ad, ctx)
         per_term = sum(
-            c * candidate_gradient(state, p, ctx) for c, p in h_ad.terms
+            c * pauli_gradient(state, p, ctx) for c, p in h_ad.terms
         )
         assert abs(total - per_term) < 1e-14
 
-    def test_rejects_noncommuting_terms(self, rng):
-        ctx = make_ctx()
-        state = random_state(2, 2, rng)
+    def test_rejects_noncommuting_terms(self):
+        """A non-commuting generator cannot enter the oracle: no gate holds one."""
         with pytest.raises(ValueError):
-            sum_generator_gradient(
-                state, xy_hamiltonian(4), ctx
-            )
+            PoolOperator.from_entangler(xy_hamiltonian(4), 2)
 
 
 class TestInvariants:
@@ -255,10 +261,7 @@ class TestInvariants:
         rotated = state.with_amplitudes(np.exp(1j * 0.821) * state.amplitudes)
         p = PauliString((1, 2), "XZ")
         assert (
-            abs(
-                candidate_gradient(state, p, ctx)
-                - candidate_gradient(rotated, p, ctx)
-            )
+            abs(pauli_gradient(state, p, ctx) - pauli_gradient(rotated, p, ctx))
             < 1e-13
         )
         rho_a = partial_trace_ancilla(state)
@@ -273,21 +276,21 @@ class TestInvariants:
             model = ising_hamiltonian if rng.integers(2) else xy_hamiltonian
             ctx = ObjectiveContext(gibbs_state(model(2), beta), 2, 2)
             reference = random_state(2, 2, rng)
-            n_layers = int(rng.integers(1, 5))
+            n_gates = int(rng.integers(1, 5))
             paulis = []
-            for _ in range(n_layers):
+            for _ in range(n_gates):
                 w = int(rng.integers(1, 3))
                 support = tuple(
                     sorted(int(q) for q in rng.choice(4, size=w, replace=False))
                 )
                 letters = "".join(rng.choice(list("XYZ")) for _ in range(w))
                 paulis.append(PauliString(support, letters))
-            prepare = chain_prepare(reference, paulis)
-            params = rng.uniform(-np.pi, np.pi, n_layers)
-            index = int(rng.integers(n_layers))
+            ansatz = pauli_chain(reference, paulis)
+            params = rng.uniform(-np.pi, np.pi, n_gates)
+            index = int(rng.integers(n_gates))
             dev = abs(
-                shift_gradient(prepare, index, params, ctx)
-                - fd_gradient(prepare, index, params, ctx)
+                shift_rule_gradient(ansatz, params, ctx)[index]
+                - central_difference(ansatz.prepare, params, ctx)[index]
             )
             worst = max(worst, dev)
         assert worst < 1e-6

@@ -11,11 +11,16 @@ from gibbsprep import (
     fidelity,
     partial_trace_ancilla,
     pauli_rotation,
-    purity,
 )
 from gibbsprep.simcore import apply_cnot, pauli_action_tables, pauli_apply_raw
 
-from conftest import dense_exponential, dense_operator, dense_pauli, random_state
+from conftest import (
+    dense_exponential,
+    dense_operator,
+    dense_pauli,
+    purity,
+    random_state,
+)
 
 
 def random_pauli(n_qubits, rng, max_weight=2):
