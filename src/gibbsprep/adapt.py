@@ -220,7 +220,9 @@ class CostGate:
         if self.hamiltonian.diagonal() is not None:
             return None
         w = self.hamiltonian.eigensystem()[1]
-        return w, w.conj()
+        w_conj = w.conj()
+        w_conj.setflags(write=False)  # the gate is shared per H
+        return w, w_conj
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,6 +245,12 @@ class CostGate:
             return amps
         w, _ = self._basis
         return (w @ amps.reshape(w.shape[0], -1) @ w.T).reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _shared_cost_gate(hamiltonian: HermitianOperator) -> CostGate:
+    """Keyed on ``H``'s terms, so the frame and spectrum are built once per ``H``."""
+    return CostGate(hamiltonian)
 
 
 def build_vqe_pool(n_total_qubits: int) -> tuple[PoolOperator, ...]:
@@ -405,7 +413,8 @@ class Ansatz:
 
     @cached_property
     def cost_gate(self) -> CostGate:
-        return CostGate(self.data_hamiltonian)
+        """The :class:`CostGate` of :attr:`data_hamiltonian`, shared per ``H``."""
+        return _shared_cost_gate(self.data_hamiltonian)
 
     @property
     def gates(self) -> list[PoolOperator | CostGate]:
@@ -771,6 +780,9 @@ def _terms_by_support(pool: tuple[PoolOperator, ...]):
         (support, np.array([w for _, w in terms]))
         for support, terms in by_support.items()
     )
+    # Read-only: one process-wide settings object shares them across sweeps.
+    for array in (rows, *(weights for _, weights in groups)):
+        array.setflags(write=False)
     return rows, groups
 
 

@@ -13,6 +13,7 @@ codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -36,7 +37,9 @@ _SWEEP_KEYS = tuple(
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="gibbsprep",
         description="Adaptive variational thermal-state preparation harness",

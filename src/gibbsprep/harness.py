@@ -14,10 +14,22 @@ inverse-temperature index ``b`` and ancilla count ``a`` is the first output
 of ``numpy.random.SeedSequence([master_seed, model_code, b, a, r])`` where
 ``model_code`` is 0 for ``ising`` and 1 for ``xy``. Scheduling order can
 therefore never affect results.
+
+Built once per process: what depends only on the sweep's model, ``n_data``,
+``n_ancilla`` and algorithm family comes from one cached builder keyed on
+those plain config values, plus ``epsilon`` (``vqe``) or ``layer_budget``
+(``qaoa`` and ``baseline``, which share one entry). That is the model
+Hamiltonian with its eigensystem, and the settings with the pool, the pool's
+support groups, the cost operator and the entangler's Bell spectrum. A
+layered ansatz's cost gate is shared per Hamiltonian, and a target builds
+its density matrix and that matrix's square root once. A cell builds only
+what depends on its temperature and seeds: the targets, the objective
+context and each restart's run.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -50,6 +62,7 @@ from .adapt import (
     singlet_reference_state,
 )
 from .models import (
+    HermitianOperator,
     entangling_hamiltonian,
     gibbs_state,
     ising_hamiltonian,
@@ -127,6 +140,9 @@ class ExperimentConfig:
             raise ConfigError("n_data must be >= 2")
         if not self.n_ancilla or any(a < 1 for a in self.n_ancilla):
             raise ConfigError("n_ancilla entries must be >= 1")
+        if len(set(self.n_ancilla)) != len(self.n_ancilla):
+            # Their cells would share run_ids and overwrite each other's traces.
+            raise ConfigError(f"n_ancilla has repeated entries: {self.n_ancilla}")
         if not self.beta_inv_list or any(
             not (b > 0 and np.isfinite(b)) for b in self.beta_inv_list
         ):
@@ -275,6 +291,32 @@ class CellResult:
     trace_dicts: list[dict]
 
 
+@functools.cache
+def _sweep_invariants(
+    model: str,
+    n_data: int,
+    n_ancilla: int,
+    layered: bool,
+    epsilon: float | None,
+    layer_budget: int | None,
+) -> tuple[HermitianOperator, VqeSettings | QaoaSettings]:
+    """The model Hamiltonian and the family's settings, built once per process.
+
+    ``epsilon`` keys the ``vqe`` family and ``layer_budget`` the layered one;
+    the other is None, so ``qaoa`` and ``baseline`` sweeps share one entry.
+    """
+    hamiltonian = MODEL_BUILDERS[model](n_data)
+    if not layered:
+        return hamiltonian, VqeSettings(
+            pool=build_vqe_pool(n_data + n_ancilla), epsilon=epsilon
+        )
+    return hamiltonian, QaoaSettings(
+        pool=build_qaoa_pool(n_data, entangling_hamiltonian(n_data)),
+        cost_operator=joint_problem_hamiltonian(hamiltonian),
+        layer_budget=layer_budget,
+    )
+
+
 def _run_cell(
     config: ExperimentConfig, beta_index: int, n_ancilla: int
 ) -> CellResult:
@@ -282,7 +324,15 @@ def _run_cell(
     started = time.perf_counter()
     beta_inv = config.beta_inv_list[beta_index]
     beta = 1.0 / beta_inv
-    hamiltonian = MODEL_BUILDERS[config.model](config.n_data)
+    layered = config.algorithm != "vqe"
+    hamiltonian, settings = _sweep_invariants(
+        config.model,
+        config.n_data,
+        n_ancilla,
+        layered,
+        epsilon=None if layered else config.epsilon,
+        layer_budget=config.layer_budget if layered else None,
+    )
     exact = gibbs_state(hamiltonian, beta)
     if config.truncation == "exact":
         optimization_target = exact
@@ -295,22 +345,12 @@ def _run_cell(
         cell_seed(config.master_seed, config.model, beta_index, n_ancilla, r)
         for r in range(config.restarts)
     ]
-    if config.algorithm == "vqe":
-        settings = VqeSettings(
-            pool=build_vqe_pool(config.n_data + n_ancilla), epsilon=config.epsilon
-        )
+    if not layered:
 
         def run(index: int):
             return adapt_vqe_run(settings, ctx, exact, seeds[index])
 
     else:
-        settings = QaoaSettings(
-            pool=build_qaoa_pool(
-                config.n_data, entangling_hamiltonian(config.n_data)
-            ),
-            cost_operator=joint_problem_hamiltonian(hamiltonian),
-            layer_budget=config.layer_budget,
-        )
         runner = adapt_qaoa_run if config.algorithm == "qaoa" else baseline_qaoa_run
 
         def run(index: int):
@@ -399,16 +439,19 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
         for beta_index in range(len(config.beta_inv_list))
     ]
     records: list[ResultRecord] = []
+    # The pool forks all its workers at the first submit, so it gets no
+    # more than there are cells.
+    workers = min(config.workers, len(cells))
     executor = None
     try:
-        if config.workers == 1 or len(cells) == 1:
+        if workers == 1:
             results = map(_cell_job, cells)
         else:
             # Imported here: concurrent.futures.process costs a serial run's
             # start-up ~20 ms.
             from concurrent.futures import ProcessPoolExecutor
 
-            executor = ProcessPoolExecutor(max_workers=config.workers)
+            executor = ProcessPoolExecutor(max_workers=workers)
             results = executor.map(_cell_job, cells)
         for cell in results:
             records.append(cell.record)

@@ -77,12 +77,16 @@ class HermitianOperator:
         """Ascending eigenvalues and the matching orthonormal eigenvectors."""
         return self._eigensystem
 
-    def terms_commute(self) -> bool:
-        """True iff all Pauli terms mutually commute."""
+    @cached_property
+    def _terms_commute(self) -> bool:
         words = [p for _, p in self.terms]
         return all(
             a.commutes_with(b) for i, a in enumerate(words) for b in words[i + 1 :]
         )
+
+    def terms_commute(self) -> bool:
+        """True iff all Pauli terms mutually commute (checked once per operator)."""
+        return self._terms_commute
 
     def shifted_to(self, n_qubits: int, offset: int) -> "HermitianOperator":
         """Same operator with every support index moved up by ``offset``."""
@@ -185,10 +189,19 @@ class GibbsTarget:
     def has_negative_eigenvalues(self) -> bool:
         return bool(self.eigenvalues[-1] < 0)
 
-    def as_density_matrix(self) -> DensityMatrix:
+    @cached_property
+    def _density_matrix(self) -> DensityMatrix:
         if self.has_negative_eigenvalues:
             raise ValueError("surrogate with negative spectrum is not a state")
         return DensityMatrix(self.matrix)
+
+    def as_density_matrix(self) -> DensityMatrix:
+        """The target as a state; one object per target, built on first use.
+
+        Every fidelity against the target then reuses one square root
+        (:attr:`~gibbsprep.simcore.DensityMatrix.sqrt`).
+        """
+        return self._density_matrix
 
 
 def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsTarget:

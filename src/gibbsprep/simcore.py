@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -232,6 +232,22 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """The read-only square root, built on first use.
+
+        Eigenvalues in ``[-1e-9, 0)`` are clamped to zero; anything below
+        raises ``ValueError`` (on every access, since nothing is cached then).
+        """
+        values, vectors = np.linalg.eigh(self.entries)
+        if values[0] < EIGENVALUE_FLOOR:
+            raise ValueError(
+                f"density matrix has eigenvalue {values[0]} below {EIGENVALUE_FLOOR}"
+            )
+        root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+        root.setflags(write=False)
+        return root
+
 
 def pauli_rotation(state: StateVector, p: PauliString, theta: float) -> StateVector:
     """Return ``exp(i theta P) |psi>`` using cos/sin closed form (P^2 = 1)."""
@@ -289,20 +305,15 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Eigenvalues of either argument in ``[-1e-9, 0)`` are clamped to zero;
     anything below that raises, since it signals a bug upstream rather than
-    partial-trace rounding. Eigenvalues of ``sqrt(sigma) rho sqrt(sigma)``
-    below ``dim * eps * max`` (the ``matrix_rank`` cutoff) are dropped.
+    partial-trace rounding. ``sqrt(sigma)`` is ``sigma``'s cached
+    :attr:`DensityMatrix.sqrt`, so a fixed target pays its ``eigh`` once.
+    Eigenvalues of ``sqrt(sigma) rho sqrt(sigma)`` below ``dim * eps * max``
+    (the ``matrix_rank`` cutoff) are dropped.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     _checked_eigvalsh(rho.entries, "rho")
-    sig_values, sig_vectors = np.linalg.eigh(sigma.entries)
-    if sig_values[0] < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"sigma has eigenvalue {sig_values[0]} below {EIGENVALUE_FLOOR}"
-        )
-    sqrt_sigma = (sig_vectors * np.sqrt(np.clip(sig_values, 0.0, None))) @ (
-        sig_vectors.conj().T
-    )
+    sqrt_sigma = sigma.sqrt
     inner = sqrt_sigma @ rho.entries @ sqrt_sigma
     values = np.linalg.eigvalsh(inner)
     # Eigenvalues under the numerical-rank cutoff are rounding noise; their

@@ -314,7 +314,20 @@ class TestCostLayer:
         params = rng.uniform(-np.pi, np.pi, 4)
         ansatz = layered_ansatz("qaoa", n, h_data, [pool[-1], pool[5]], params)
         ansatz_value_and_gradient(ansatz, params, ctx)
-        assert not {"matrix", "_eigensystem"} & ansatz.data_hamiltonian.__dict__.keys()
+        # The gate is shared per H, so the H it holds is the one that matters.
+        built = ansatz.cost_gate.hamiltonian.__dict__.keys()
+        assert not {"matrix", "_eigensystem"} & built
+
+    def test_equal_hamiltonians_share_one_cost_gate(self):
+        n = 2
+        first, second = (
+            layered_ansatz(flavor, n, ising_hamiltonian(n), [], np.zeros(0))
+            for flavor in ("qaoa", "baseline")
+        )
+        assert first.data_hamiltonian is not second.data_hamiltonian
+        assert first.cost_gate is second.cost_gate
+        other = layered_ansatz("qaoa", n, cost_model("xx", n), [], np.zeros(0))
+        assert other.cost_gate is not first.cost_gate
 
     def test_rejects_cost_that_is_not_mirrored(self):
         n = 2

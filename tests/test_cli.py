@@ -109,6 +109,29 @@ class TestSweepCommands:
         bad.write_text("modle = ising\n")
         assert main(["sweep", "--config", str(bad)]) == 2
 
+    def test_repeated_ancilla_count_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["vqe-gibbs", "--n_data", "2", "--n_ancilla", "1,1", "--beta_inv_list",
+             "1.0", "--restarts", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cached_parser_keeps_each_commands_algorithm(self):
+        from gibbsprep.cli import _build_parser
+
+        parser = _build_parser()
+        for argv, algorithm in (
+            (["qaoa-gibbs", "--n_data", "2"], "qaoa"),
+            (["sweep", "--algorithm", "baseline"], "baseline"),
+            (["vqe-gibbs"], "vqe"),
+            (["sweep"], None),  # taken from the config later
+        ):
+            assert _build_parser() is parser
+            assert parser.parse_args(argv).algorithm == algorithm
+
     def test_layered_register_mismatch_exit_code(self, capsys):
         code = main(
             ["qaoa-gibbs", "--n_data", "2", "--n_ancilla", "1", "--restarts", "1"]

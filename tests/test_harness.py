@@ -76,6 +76,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(truncation="m5")
 
+    def test_repeated_ancilla_count_rejected(self):
+        with pytest.raises(ConfigError, match="repeated"):
+            tiny_config(n_ancilla=(1, 2, 1))
+        with pytest.raises(ConfigError, match="repeated"):
+            build_config({"n_data": "2", "n_ancilla": "1,1"})
+
+    def test_repeated_temperature_gets_its_own_run_and_seed(self):
+        records = run_sweep(tiny_config(beta_inv_list=(1.0, 1.0)))
+        assert len({r.run_id for r in records}) == 2
+        assert len({r.seed for r in records}) == 2
+
     def test_layered_requires_matching_registers(self):
         with pytest.raises(ConfigError, match="n_ancilla == n_data"):
             tiny_config(algorithm="qaoa", n_ancilla=(1,))
@@ -266,6 +277,29 @@ class TestRunSweep:
             run_sweep(config)
         assert multiprocessing.active_children() == []
 
+    def test_worker_pool_capped_at_cell_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingExecutor:
+            """Records the pool size it is given and runs the jobs in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        assert len(run_sweep(tiny_config(beta_inv_list=(0.5, 1.0), workers=64))) == 2
+        assert sizes == [2]
+        run_sweep(tiny_config(workers=64))  # one cell: no pool at all
+        assert sizes == [2]
+
     def test_fidelity_never_exceeds_bound(self, tmp_path):
         records = run_sweep(
             tiny_config(n_ancilla=(1, 2), beta_inv_list=(0.5, 2.0))
@@ -324,6 +358,64 @@ class TestRunSweep:
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
         value = objective(partial_trace_ancilla(state), ctx)
         assert abs(value - records[0].objective) < 1e-12
+
+
+@pytest.fixture
+def cold_caches():
+    """The process-wide builders emptied before the test and after it."""
+    from gibbsprep import adapt, cli, harness
+
+    caches = (harness._sweep_invariants, adapt._shared_cost_gate, cli._build_parser)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def layered_sweep(algorithm, **overrides):
+    settings = dict(n_ancilla=(2,), beta_inv_list=(0.5, 1.0), layer_budget=2)
+    return tiny_config(algorithm=algorithm, **(settings | overrides))
+
+
+class TestProcessCaches:
+    def test_warm_caches_reproduce_a_cold_run(self, cold_caches, tmp_path):
+        def run_all(out):
+            for algorithm in ("qaoa", "baseline"):
+                run_sweep(layered_sweep(algorithm, restarts=2, out=str(out)))
+            run_sweep(tiny_config(n_ancilla=(1, 2), restarts=2, out=str(out)))
+            rows = [
+                line.rsplit(",", 1)[0]  # drop wall_ms
+                for line in (out / "results.csv").read_text().splitlines()
+            ]
+            traces = {}
+            for path in sorted((out / "traces").glob("*.json")):
+                payload = json.loads(path.read_text())
+                for record in payload["records"]:  # as AdaptTrace.comparable_dict
+                    record.pop("wall_ms")
+                traces[path.name] = payload
+            return rows, traces
+
+        cold_rows, cold_traces = run_all(tmp_path / "cold")
+        warm_rows, warm_traces = run_all(tmp_path / "warm")
+        assert len(cold_rows) == 2 + 2 + 2 + 2 and len(cold_traces) == 12
+        assert warm_rows == cold_rows
+        assert warm_traces == cold_traces
+
+    def test_layered_sweeps_build_the_pool_once(self, cold_caches, monkeypatch):
+        from gibbsprep import harness
+
+        built = []
+        real = harness.build_qaoa_pool
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "build_qaoa_pool", counted)
+        for algorithm in ("qaoa", "baseline"):
+            assert len(run_sweep(layered_sweep(algorithm, layer_budget=1))) == 2
+        assert len(built) == 1
 
 
 class TestGradcheck:

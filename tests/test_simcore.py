@@ -240,8 +240,35 @@ class TestMetrics:
         good = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(ValueError):
             fidelity(bad, good)
-        with pytest.raises(ValueError):
-            fidelity(good, bad)
+        # A root that failed is not cached: every call checks sigma again.
+        for _ in range(3):
+            with pytest.raises(ValueError, match="below"):
+                fidelity(good, bad)
+
+    def test_fidelity_with_cached_root_matches_eigh_reference(self, rng):
+        """Each sigma serves several rho: all but the first call read its cached root."""
+        from conftest import random_density
+
+        def reference(rho, sigma):
+            values, vectors = np.linalg.eigh(sigma.entries)
+            root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+            inner = np.linalg.eigvalsh(root @ rho.entries @ root)
+            cutoff = inner.size * np.finfo(np.float64).eps * inner[-1]
+            return np.sqrt(inner[inner > cutoff]).sum() ** 2
+
+        def draw(kind):
+            if kind == "full":
+                return random_density(4, rng)
+            # Rank 2 and rank 1: reduced states of two data qubits.
+            n_ancilla = 1 if kind == "rank2" else 0
+            return partial_trace_ancilla(random_state(2, n_ancilla, rng))
+
+        for sigma_kind in ("full", "rank2", "pure"):
+            sigma = draw(sigma_kind)
+            for rho_kind in ("full", "rank2", "pure", "full"):
+                rho = draw(rho_kind)
+                assert abs(fidelity(rho, sigma) - reference(rho, sigma)) <= 1e-12
+            assert "sqrt" in sigma.__dict__
 
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(ValueError):
