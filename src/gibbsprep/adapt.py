@@ -17,7 +17,7 @@ Both families run through one gate program (:attr:`Ansatz.gates`):
 ``[cost, M_1, cost, M_2, ...]``. A gate ``exp(i theta G)`` is a Pauli word or
 a diagonal phase ``exp(i theta E)`` in a frame ``F``, with ``E =
 values[index]``: the pair entangler in the pair Bell basis
-(:attr:`PoolOperator.bell_spectrum`), the cost in the eigenbasis ``W (x) W``
+(:attr:`PoolOperator.spectrum`), the cost in the eigenbasis ``W (x) W``
 of ``H`` on the data register, which is the identity for a diagonal ``H``
 (:class:`CostGate`). Their growth loops share one record and trace path
 (:class:`_Growth`).
@@ -126,7 +126,7 @@ class PoolOperator:
         """A sum of ``XX``, ``YY`` and ``ZZ`` terms on the pairs ``(k, n_data + k)``.
 
         That is the form the pair Bell basis diagonalises
-        (:attr:`bell_spectrum`); any other term raises ``ValueError``.
+        (:attr:`spectrum`); any other term raises ``ValueError``.
         """
         if operator.n_qubits != 2 * n_data:
             raise ValueError(f"entangler must act on {2 * n_data} qubits")
@@ -151,7 +151,7 @@ class PoolOperator:
         return ((1.0, self.pauli),) if self.kind == "pauli" else self.operator.terms
 
     @cached_property
-    def bell_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entangler's diagonal in the pair Bell basis of ``bell_frame``.
 
         Returns ``(energies, values, index)``: ``energies`` over the frame's
@@ -169,11 +169,6 @@ class PoolOperator:
             bits = {"XX": x >> k, "ZZ": y >> k, "YY": (x ^ y) >> k}[p.letters] & 1
             energies += (-c if p.letters == "YY" else c) * (1.0 - 2.0 * bits)
         return _spectrum(energies)
-
-    @property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entangler's frame diagonal, :attr:`bell_spectrum`."""
-        return self.bell_spectrum
 
     def to_frame(self, amps: np.ndarray) -> np.ndarray:
         return to_bell_raw(amps, self.operator.n_qubits // 2)
@@ -217,18 +212,18 @@ class CostGate:
     @cached_property
     def _basis(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(W, W^*)``, or None when ``H`` is diagonal."""
-        if self.hamiltonian.diagonal() is not None:
+        if self.hamiltonian.diagonal is not None:
             return None
-        w = self.hamiltonian.eigensystem()[1]
+        w = self.hamiltonian.eigensystem[1]
         w_conj = w.conj()
         w_conj.setflags(write=False)  # the gate is shared per H
         return w, w_conj
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(energies, values, index)`` in the frame, as :attr:`PoolOperator.bell_spectrum`."""
+        """``(energies, values, index)`` in the frame, as :attr:`PoolOperator.spectrum`."""
         h = self.hamiltonian
-        w = h.eigensystem()[0] if self._basis is not None else h.diagonal()
+        w = h.eigensystem[0] if self._basis is not None else h.diagonal
         return _spectrum(0.5 * (w[:, None] + w).ravel())
 
     def to_frame(self, amps: np.ndarray) -> np.ndarray:
@@ -383,12 +378,18 @@ class Ansatz:
     def __post_init__(self):
         if self.flavor not in ("vqe", "qaoa", "baseline"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
+        ref = self.reference
+        if (ref.n_data, ref.n_ancilla) != (self.n_data, self.n_ancilla):
+            raise ValueError(
+                f"reference has {ref.n_data}+{ref.n_ancilla} qubits, "
+                f"the ansatz {self.n_data}+{self.n_ancilla}"
+            )
         if self.flavor in ("qaoa", "baseline"):
             if self.cost_operator is None:
                 raise ValueError(f"{self.flavor} ansatz needs a cost operator")
             # objective.shift_rule_gradient unrolls the cost gate into one
             # rotation per term, which is exact only for commuting terms.
-            if not self.cost_operator.terms_commute():
+            if not self.cost_operator.terms_commute:
                 raise ValueError(
                     "cost operator terms must mutually commute for layered ansatz"
                 )
@@ -692,7 +693,6 @@ class AdaptTrace:
     final_pool_gradient_norm: float | None
     reference_spec: dict
     metadata: dict
-    pool_gradient_history: list[list[float]] | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -729,8 +729,6 @@ class _PoolSettings:
 class VqeSettings(_PoolSettings):
     pool: tuple[PoolOperator, ...]
     epsilon: float
-    max_iterations: int = MAX_VQE_ITERATIONS
-    record_pool_gradients: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -742,7 +740,6 @@ class QaoaSettings(_PoolSettings):
     pool: tuple[PoolOperator, ...]
     cost_operator: HermitianOperator
     layer_budget: int
-    record_pool_gradients: bool = False
 
     def __post_init__(self):
         if not 0 <= self.layer_budget <= MAX_QAOA_LAYERS:
@@ -811,7 +808,7 @@ def _pool_scan(
     state: StateVector,
     pool: tuple[PoolOperator, ...],
     ctx: ObjectiveContext,
-    groups=None,
+    groups,
 ) -> np.ndarray:
     """Candidate gradient of every pool operator at ``state``, in pool order.
 
@@ -823,12 +820,12 @@ def _pool_scan(
     for a qubit), every term ``c P`` on it adds
     ``-2 c Im Tr(P M)`` to its operator's entry, and the entangler's entry
     sums its terms (qubit-ADAPT pools, arXiv:1911.10205). ``groups`` is
-    :func:`_terms_by_support` of ``pool``, built here unless given.
+    :func:`_terms_by_support` of ``pool``.
     """
     psi = state.amplitudes
     _, lam = _value_and_costate(psi, ctx, state.n_ancilla)
     psi_lam = np.stack([psi, lam.conj()])
-    rows, groups = _terms_by_support(pool) if groups is None else groups
+    rows, groups = groups
     inner = np.concatenate(
         [
             weights @ _marginal(psi_lam, state.n_total, support).ravel()
@@ -863,7 +860,6 @@ class _Growth:
     ):
         self.ansatz, self.settings, self.ctx = ansatz, settings, ctx
         self.target_dm = fidelity_target.as_density_matrix()
-        self.history = [] if settings.record_pool_gradients else None
         self.pool_norm: float | None = None
         t0 = time.perf_counter()
         self.state = ansatz.prepare()
@@ -877,13 +873,10 @@ class _Growth:
     def scan(self, state: StateVector) -> tuple[PoolOperator, float]:
         """The pool's largest-|gradient| generator at ``state``, with its gradient.
 
-        The pool-gradient norm is kept as ``pool_norm``, the gradients in
-        the history if the settings record it.
+        The pool-gradient norm is kept as ``pool_norm``.
         """
         pool = self.settings.pool
         gradients = _pool_scan(state, pool, self.ctx, self.settings.pool_groups)
-        if self.history is not None:
-            self.history.append([float(g) for g in gradients])
         self.pool_norm = float(np.linalg.norm(gradients))
         best = _argmax_with_ties(gradients)
         return pool[best], float(gradients[best])
@@ -943,7 +936,6 @@ class _Growth:
                 "layer_order": "first listed layer applied first",
                 "cnot_convention": CNOT_CONVENTION,
             },
-            pool_gradient_history=self.history,
         )
 
 
@@ -972,7 +964,7 @@ def adapt_vqe_run(
     growth = _Growth(ansatz, settings, ctx, fidelity_target)
     termination = "max_iters"
     stall_count = 0
-    for _ in range(settings.max_iterations):
+    for _ in range(MAX_VQE_ITERATIONS):
         t0 = time.perf_counter()
         chosen, gradient = growth.scan(growth.state)
         if growth.pool_norm < settings.epsilon:
@@ -1065,7 +1057,7 @@ class RestartOutcome:
     ansatz: Ansatz
     trace: AdaptTrace
     restart_index: int
-    traces: list[AdaptTrace]
+    traces: dict[int, AdaptTrace]  # by restart index; failed restarts have none
     failures: list[tuple[int, str]]
 
 
@@ -1080,27 +1072,21 @@ def restart_postselect(
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    outcomes: list[tuple[int, Ansatz, AdaptTrace]] = []
-    traces: list[AdaptTrace] = []
+    runs: dict[int, tuple[Ansatz, AdaptTrace]] = {}
     failures: list[tuple[int, str]] = []
     for index in range(n_restarts):
         try:
-            ansatz, trace = run(index)
+            runs[index] = run(index)
         except NumericalFailure as exc:
             failures.append((index, str(exc)))
-            continue
-        outcomes.append((index, ansatz, trace))
-        traces.append(trace)
-    if not outcomes:
-        raise NumericalFailure(
-            f"all {n_restarts} restarts failed: {failures}"
-        )
-    best_index, best_ansatz, best_trace = min(
-        outcomes,
-        key=lambda item: (
-            item[2].final_objective,
-            item[2].records[-1].cnot_count,
-            item[0],
-        ),
-    )
+    if not runs:
+        raise NumericalFailure(f"all {n_restarts} restarts failed: {failures}")
+
+    def rank(index: int) -> tuple[float, int, int]:
+        trace = runs[index][1]
+        return trace.final_objective, trace.records[-1].cnot_count, index
+
+    best_index = min(runs, key=rank)
+    best_ansatz, best_trace = runs[best_index]
+    traces = {i: trace for i, (_, trace) in runs.items()}
     return RestartOutcome(best_ansatz, best_trace, best_index, traces, failures)

@@ -1,13 +1,14 @@
 """Experiment configuration, sweeps, persistence, and plot-data emission.
 
+An :class:`ExperimentConfig` is complete and valid once constructed.
 Sweeps iterate the cell grid (ancilla count x inverse-temperature list),
 run the configured number of seeded restarts per cell, postselect by final
 objective, and append one result row per cell to a CSV whose column order is
 fixed by ``CSV_COLUMNS``; appending to a CSV with another header is a
-configuration error. Every restart's full trace is persisted as JSON in
-``traces/{run_id}.{config_hash}.r{restart}.json`` next to the CSV,
-sufficient to replay the ansatz bit-exactly; the config hash keeps sweeps
-that share an output directory and a run_id apart.
+configuration error. Each successful restart's trace is persisted as JSON in
+``traces/{run_id}.{config_hash}.r{restart}.json`` next to the CSV, before
+the cell's row, sufficient to replay the ansatz bit-exactly; the config hash
+keeps sweeps that share an output directory and a run_id apart.
 
 Seed scheme (pinned by tests): the seed of restart ``r`` in the cell with
 inverse-temperature index ``b`` and ancilla count ``a`` is the first output
@@ -20,11 +21,11 @@ Built once per process: what depends only on the sweep's model, ``n_data``,
 those plain config values, plus ``epsilon`` (``vqe``) or ``layer_budget``
 (``qaoa`` and ``baseline``, which share one entry). That is the model
 Hamiltonian with its eigensystem, and the settings with the pool, the pool's
-support groups, the cost operator and the entangler's Bell spectrum. A
-layered ansatz's cost gate is shared per Hamiltonian, and a target builds
-its density matrix and that matrix's square root once. A cell builds only
-what depends on its temperature and seeds: the targets, the objective
-context and each restart's run.
+support groups, the cost operator and the entangler's spectrum. A layered
+ansatz's cost gate is shared per Hamiltonian, and a target builds its
+density matrix and that matrix's square root once. A cell builds only what
+depends on its temperature and seeds: the targets, the objective context and
+each restart's run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
 from typing import get_type_hints
@@ -46,6 +47,7 @@ from .adapt import (
     DEFAULT_VQE_RESTARTS,
     ENTANGLER_LABEL,
     Ansatz,
+    CostGate,
     MAX_QAOA_LAYERS,
     NumericalFailure,
     PoolOperator,
@@ -107,29 +109,18 @@ class ExperimentConfig:
     workers: int = 1
     out: str | None = None
 
-    def normalized(self) -> "ExperimentConfig":
-        """Fill algorithm-dependent defaults and validate everything."""
-        cfg = self
-        if not cfg.n_ancilla:
-            cfg = replace(cfg, n_ancilla=(cfg.n_data,))
-        if not cfg.beta_inv_list:
-            grid = (
-                DEFAULT_VQE_BETA_INV_GRID
-                if cfg.algorithm == "vqe"
-                else DEFAULT_QAOA_BETA_INV_GRID
-            )
-            cfg = replace(cfg, beta_inv_list=grid)
-        if cfg.restarts == 0:
-            cfg = replace(
-                cfg,
-                restarts=(
-                    DEFAULT_VQE_RESTARTS
-                    if cfg.algorithm == "vqe"
-                    else DEFAULT_QAOA_RESTARTS
-                ),
-            )
-        cfg.validate()
-        return cfg
+    def __post_init__(self):
+        """Fill the algorithm-dependent defaults, then validate (on ``replace`` too)."""
+        vqe = self.algorithm == "vqe"
+        if not self.n_ancilla:
+            object.__setattr__(self, "n_ancilla", (self.n_data,))
+        if not self.beta_inv_list:
+            grid = DEFAULT_VQE_BETA_INV_GRID if vqe else DEFAULT_QAOA_BETA_INV_GRID
+            object.__setattr__(self, "beta_inv_list", grid)
+        if self.restarts == 0:
+            restarts = DEFAULT_VQE_RESTARTS if vqe else DEFAULT_QAOA_RESTARTS
+            object.__setattr__(self, "restarts", restarts)
+        self.validate()
 
     def validate(self) -> None:
         if self.model not in MODEL_BUILDERS:
@@ -164,8 +155,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{self.algorithm} requires n_ancilla == n_data"
                 )
-            h = MODEL_BUILDERS[self.model](self.n_data)
-            if not joint_problem_hamiltonian(h).terms_commute():
+            # H (x) 1 + 1 (x) H commutes iff H does: its halves share no qubit.
+            if not MODEL_BUILDERS[self.model](self.n_data).terms_commute:
                 raise ConfigError(
                     f"{self.algorithm} needs a cost Hamiltonian with mutually "
                     f"commuting terms; {self.model} at n_data={self.n_data} "
@@ -224,7 +215,7 @@ def build_config(raw: dict) -> ExperimentConfig:
             parsed[key] = _CONFIG_PARSERS[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
-    return ExperimentConfig(**parsed).normalized()
+    return ExperimentConfig(**parsed)
 
 
 def cell_seed(
@@ -384,7 +375,7 @@ def _run_cell(
         wall_ms=(time.perf_counter() - started) * 1e3,
     )
     trace_dicts = []
-    for restart_index, trace in enumerate(outcome.traces):
+    for restart_index, trace in outcome.traces.items():
         payload = trace.to_dict()
         payload["run_id"] = run_id
         payload["config_hash"] = record.config_hash
@@ -408,7 +399,6 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     temperature) with a flush after each row, so an interrupted sweep leaves
     only whole rows behind. Worker processes only change wall-clock columns.
     """
-    config = config.normalized()
     out_dir = Path(config.out) if config.out else None
     writer = None
     if out_dir is not None:
@@ -455,15 +445,20 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
             results = executor.map(_cell_job, cells)
         for cell in results:
             records.append(cell.record)
-            if writer is not None:
-                writer.write(cell.record.to_csv_row() + "\n")
-                writer.flush()
+            if writer is None:
+                continue
+            # Traces first: a row on disk always has its traces.
+            try:
                 for payload in cell.trace_dicts:
                     trace_path = out_dir / "traces" / (
                         f"{payload['run_id']}.{payload['config_hash']}"
                         f".r{payload['restart_index']}.json"
                     )
                     trace_path.write_text(json.dumps(payload, indent=1))
+                writer.write(cell.record.to_csv_row() + "\n")
+                writer.flush()
+            except OSError as exc:
+                raise ConfigError(f"cannot write to output path {out_dir}: {exc}")
     finally:
         if executor is not None:
             # On an error, queued cells are dropped instead of run to the end.
@@ -487,14 +482,13 @@ def replay_state(trace: dict, n_data: int, n_ancilla: int) -> StateVector:
         reference = singlet_reference_state(n_data)
     else:
         raise ValueError(f"unknown reference kind {spec['kind']!r}")
-    generators = []
-    for label in trace["generator_labels"]:
-        if label == ENTANGLER_LABEL:
-            generators.append(
-                PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
-            )
-        else:
-            generators.append(PoolOperator.from_pauli(PauliString.from_label(label)))
+    entangler = PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
+    generators = [
+        entangler
+        if label == ENTANGLER_LABEL
+        else PoolOperator.from_pauli(PauliString.from_label(label))
+        for label in trace["generator_labels"]
+    ]
     cost = None
     if trace["flavor"] in ("qaoa", "baseline"):
         cost = joint_problem_hamiltonian(
@@ -690,11 +684,13 @@ def _write_series(path: Path, header: str, rows: list[tuple]) -> Path:
 
 
 def _fixed_mixer_cnots(model: str, n_data: int) -> int:
-    """CNOTs of the fixed-entangler ansatz at n_data/2 layers (convention)."""
-    h = MODEL_BUILDERS[model](n_data)
-    two_qubit_terms = sum(1 for _, p in h.terms if p.weight == 2)
-    layers = math.ceil(n_data / 2)
-    return n_data + layers * (2 * two_qubit_terms + 3 * n_data)
+    """CNOTs of the fixed-entangler ansatz at n_data/2 layers, from its gates.
+
+    No :class:`Ansatz` is built: it refuses xy at ``n_data >= 3``.
+    """
+    cost = CostGate(MODEL_BUILDERS[model](n_data))
+    entangler = PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
+    return n_data + math.ceil(n_data / 2) * (cost.cnot_cost + entangler.cnot_cost)
 
 
 def _columns(rows: list[dict], *columns: str) -> tuple[str, list[tuple]]:

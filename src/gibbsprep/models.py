@@ -52,7 +52,8 @@ class HermitianOperator:
         return dense
 
     @cached_property
-    def _diagonal(self) -> np.ndarray | None:
+    def diagonal(self) -> np.ndarray | None:
+        """Diagonal of the matrix if the operator is diagonal, else None."""
         if any(set(p.letters) != {"Z"} for _, p in self.terms):
             return None
         diag = np.zeros(self.dim, dtype=np.float64)
@@ -62,31 +63,21 @@ class HermitianOperator:
         diag.setflags(write=False)
         return diag
 
-    def diagonal(self) -> np.ndarray | None:
-        """Diagonal of the matrix if the operator is diagonal, else None."""
-        return self._diagonal
-
     @cached_property
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and the matching orthonormal eigenvectors."""
         values, vectors = np.linalg.eigh(self.matrix)
         values.setflags(write=False)
         vectors.setflags(write=False)
         return values, vectors
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and the matching orthonormal eigenvectors."""
-        return self._eigensystem
-
     @cached_property
-    def _terms_commute(self) -> bool:
+    def terms_commute(self) -> bool:
+        """True iff all Pauli terms mutually commute (checked once per operator)."""
         words = [p for _, p in self.terms]
         return all(
             a.commutes_with(b) for i, a in enumerate(words) for b in words[i + 1 :]
         )
-
-    def terms_commute(self) -> bool:
-        """True iff all Pauli terms mutually commute (checked once per operator)."""
-        return self._terms_commute
 
     def shifted_to(self, n_qubits: int, offset: int) -> "HermitianOperator":
         """Same operator with every support index moved up by ``offset``."""
@@ -182,10 +173,6 @@ class GibbsTarget:
         return self.matrix.shape[0]
 
     @property
-    def n_data(self) -> int:
-        return self.dim.bit_length() - 1
-
-    @property
     def has_negative_eigenvalues(self) -> bool:
         return bool(self.eigenvalues[-1] < 0)
 
@@ -208,16 +195,17 @@ def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsTarget:
     """Exact thermal state ``exp(-beta H) / Z`` with its spectrum cached."""
     if not np.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    values, vectors = hamiltonian.eigensystem()
+    values, vectors = hamiltonian.eigensystem
     # Shift by the ground energy so the exponentials stay in range.
     weights = np.exp(-beta * (values - values[0]))
-    total = weights.sum()
-    probabilities = weights / total
-    matrix = (vectors * probabilities) @ vectors.conj().T
+    return _spectral_target("exact", vectors, weights / weights.sum())
+
+
+def _spectral_target(mode: str, vectors: np.ndarray, values: np.ndarray) -> GibbsTarget:
+    """``V diag(values) V^dagger``, symmetrized, with ``values`` sorted descending."""
+    matrix = (vectors * values) @ vectors.conj().T
     matrix = (matrix + matrix.conj().T) / 2
-    return GibbsTarget(
-        mode="exact", matrix=matrix, eigenvalues=np.sort(probabilities)[::-1]
-    )
+    return GibbsTarget(mode, matrix, np.sort(values)[::-1])
 
 
 def _taylor_partial_sum(x: np.ndarray, m: int) -> np.ndarray:
@@ -243,7 +231,7 @@ def truncated_target(
         raise ValueError("truncation order must be >= 0")
     if not np.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    values, vectors = hamiltonian.eigensystem()
+    values, vectors = hamiltonian.eigensystem
     series = _taylor_partial_sum(-beta * values, m)
     total = series.sum()
     if total <= 0:
@@ -251,12 +239,7 @@ def truncated_target(
             f"truncated series trace {total} <= 0 at (beta={beta}, m={m}); "
             "raise the truncation order"
         )
-    normalized = series / total
-    matrix = (vectors * normalized) @ vectors.conj().T
-    matrix = (matrix + matrix.conj().T) / 2
-    return GibbsTarget(
-        mode="truncated", matrix=matrix, eigenvalues=np.sort(normalized)[::-1]
-    )
+    return _spectral_target("truncated", vectors, series / total)
 
 
 def max_fidelity_bound(target: GibbsTarget, n_ancilla: int) -> float:

@@ -191,10 +191,6 @@ class StateVector:
     def n_total(self) -> int:
         return self.n_data + self.n_ancilla
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_total
-
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(self.n_data, self.n_ancilla, amplitudes)
 

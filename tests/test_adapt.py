@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gibbsprep import adapt
 from gibbsprep import (
     Ansatz,
     HermitianOperator,
@@ -207,6 +208,17 @@ class TestAnsatzGradients:
                 cost_operator=joint_problem_hamiltonian(xy_hamiltonian(n)),
             )
 
+    def test_rejects_reference_of_another_register_split(self):
+        # The objective would use the 3+1 split, prepare() the 2+2 state.
+        with pytest.raises(ValueError, match=r"2\+2 qubits, the ansatz 3\+1"):
+            Ansatz(
+                flavor="vqe",
+                n_data=3,
+                n_ancilla=1,
+                reference=StateVector.computational_basis(2, 2),
+                reference_spec={"kind": "basis"},
+            )
+
     def test_zero_parameter_layer_reproduces_state_exactly(self, rng):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
         paulis = [PauliString((0, 2), "XY"), PauliString((1, 3), "ZZ")]
@@ -268,7 +280,7 @@ class TestCostLayer:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_dense_exponential(self, model, n, rng):
         ansatz = layered_ansatz("baseline", n, cost_model(model, n), [], np.zeros(0))
-        assert (ansatz.data_hamiltonian.diagonal() is None) == (model != "ising")
+        assert (ansatz.data_hamiltonian.diagonal is None) == (model != "ising")
         cost = ansatz.cost_gate
         joint = dense_operator(ansatz.cost_operator)
         psi = random_state(n, n, rng).amplitudes
@@ -316,7 +328,7 @@ class TestCostLayer:
         ansatz_value_and_gradient(ansatz, params, ctx)
         # The gate is shared per H, so the H it holds is the one that matters.
         built = ansatz.cost_gate.hamiltonian.__dict__.keys()
-        assert not {"matrix", "_eigensystem"} & built
+        assert not {"matrix", "eigensystem"} & built
 
     def test_equal_hamiltonians_share_one_cost_gate(self):
         n = 2
@@ -344,8 +356,8 @@ class TestCostLayer:
                     flavor="qaoa",
                     n_data=n,
                     n_ancilla=n_ancilla,
-                    reference=singlet_reference_state(n),
-                    reference_spec={"kind": "singlet"},
+                    reference=StateVector.computational_basis(n, n_ancilla),
+                    reference_spec={"kind": "basis"},
                     cost_operator=cost,
                 )
 
@@ -384,11 +396,11 @@ class TestAdjointEngine:
             ctx = ObjectiveContext(gibbs_state(h_data, 1.3), n, n)
             params = rng.uniform(-np.pi, np.pi, 6)
             ansatz = layered_ansatz("qaoa", n, h_data, mixers, params)
-            assert ansatz.data_hamiltonian.diagonal() is None
+            assert ansatz.data_hamiltonian.diagonal is None
             self.check(ansatz, params, ctx)
             # The cost layer comes from the data register: nothing 2n-qubit is built.
             built = ansatz.cost_operator.__dict__.keys()
-            assert not {"matrix", "_eigensystem", "_diagonal"} & built
+            assert not {"matrix", "eigensystem", "diagonal"} & built
 
     def test_hundred_layer_vqe(self, rng):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(3), 1.1), 3, 2)
@@ -420,12 +432,12 @@ class TestAdjointEngine:
         assert np.abs(ansatz.prepare().amplitudes - state.amplitudes).max() <= 1e-13
 
     def test_pool_scan_on_full_vqe_pool(self, rng):
-        from gibbsprep.adapt import _pool_scan
+        from gibbsprep.adapt import _pool_scan, _terms_by_support
 
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(4), 0.8), 4, 4)
         state = random_state(4, 4, rng)
         pool = build_vqe_pool(8) + (weighted_entangler(4),)
-        fast = _pool_scan(state, pool, ctx)
+        fast = _pool_scan(state, pool, ctx, _terms_by_support(pool))
         slow = [candidate_gradient(state, op, ctx) for op in pool]
         assert np.abs(fast - slow).max() <= 1e-12
 
@@ -457,11 +469,11 @@ class TestBellFrame:
             assert np.abs(ansatz.prepare().amplitudes - expected).max() <= 1e-13
 
     def test_spectrum_values_index_the_energies(self):
-        energies, values, index = weighted_entangler(3).bell_spectrum
+        energies, values, index = weighted_entangler(3).spectrum
         assert np.array_equal(values[index], energies)
         assert np.array_equal(np.unique(energies), values)
         # Uniform weights: pair energies 1, 1, 1, -3, so n + 1 distinct sums.
-        _, values, _ = build_qaoa_pool(3, entangling_hamiltonian(3))[-1].bell_spectrum
+        _, values, _ = build_qaoa_pool(3, entangling_hamiltonian(3))[-1].spectrum
         assert values.tolist() == [-9.0, -5.0, -1.0, 3.0]
 
     def test_from_entangler_rejects_terms_off_the_pairs(self):
@@ -490,18 +502,18 @@ class TestBellFrame:
 class TestPoolScan:
     def test_matches_public_candidate_gradients(self, rng):
         """Every entry against the public shift-rule oracle on one appended gate."""
-        from gibbsprep.adapt import _pool_scan
+        from gibbsprep.adapt import _pool_scan, _terms_by_support
 
         for n in (2, 3):
             ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(n), 0.9), n, n)
             state = random_state(n, n, rng)
             pool = build_qaoa_pool(n, entangling_hamiltonian(n))
-            fast = _pool_scan(state, pool, ctx)
+            fast = _pool_scan(state, pool, ctx, _terms_by_support(pool))
             for j, op in enumerate(pool):
                 assert abs(fast[j] - candidate_gradient(state, op, ctx)) < 1e-12
 
     def test_builds_no_gather_tables(self, rng):
-        from gibbsprep.adapt import _pool_scan
+        from gibbsprep.adapt import _pool_scan, _terms_by_support
         from gibbsprep.simcore import pauli_action_tables
 
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(5), 0.9), 5, 5)
@@ -509,7 +521,7 @@ class TestPoolScan:
         pools = build_qaoa_pool(5, entangling_hamiltonian(5)), build_vqe_pool(10)
         before = pauli_action_tables.cache_info()
         for pool in pools:
-            _pool_scan(state, pool, ctx)
+            _pool_scan(state, pool, ctx, _terms_by_support(pool))
         assert pauli_action_tables.cache_info() == before
 
 
@@ -575,8 +587,6 @@ class TestBfgsOnAnalyticObjectives:
 
     @pytest.fixture
     def minimize(self, monkeypatch, rng):
-        from gibbsprep import adapt
-
         ctx = ObjectiveContext(single_qubit_target(), 1, 1)
         paulis = [PauliString((0,), "X"), PauliString((1,), "Y")]
         ansatz = make_vqe_ansatz(1, 1, paulis, np.zeros(2), rng)
@@ -610,8 +620,6 @@ class TestBfgsOnAnalyticObjectives:
         assert np.allclose(result.parameters, np.linalg.solve(a, b), atol=1e-9)
 
     def test_iteration_cap_stops_unconverged(self, minimize, monkeypatch):
-        from gibbsprep import adapt
-
         monkeypatch.setattr(adapt, "MAX_OPTIMIZER_ITERATIONS", 3)
         start_value = rosenbrock(np.array([-1.2, 1.0]))[0]
         result = minimize(rosenbrock, [-1.2, 1.0])
@@ -641,6 +649,20 @@ class TestBfgsOnAnalyticObjectives:
         assert (result.iterations, result.evaluations, result.converged) == (0, 1, True)
 
 
+def record_scans(monkeypatch) -> list[np.ndarray]:
+    """Every pool scan's gradients from now on, in scan order."""
+    scans = []
+
+    def spy(*args):
+        gradients = original(*args)
+        scans.append(gradients)
+        return gradients
+
+    original = adapt._pool_scan
+    monkeypatch.setattr(adapt, "_pool_scan", spy)
+    return scans
+
+
 class TestAdaptVqeRun:
     def test_huge_threshold_returns_zero_layers(self):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
@@ -658,14 +680,17 @@ class TestAdaptVqeRun:
         )
         assert outcome.trace.final_fidelity >= 0.99
 
-    def test_objective_monotone_and_selection_consistent(self):
+    def test_objective_monotone_and_selection_consistent(self, monkeypatch):
         ctx = ObjectiveContext(gibbs_state(xy_hamiltonian(2), 0.8), 2, 2)
         pool = build_vqe_pool(4)
-        settings = VqeSettings(pool=pool, epsilon=1e-3, record_pool_gradients=True)
+        settings = VqeSettings(pool=pool, epsilon=1e-3)
+        scans = record_scans(monkeypatch)
         ansatz, trace = adapt_vqe_run(settings, ctx, ctx.target, seed=5)
         objectives = [r.objective for r in trace.records]
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
-        for record, gradients in zip(trace.records[1:], trace.pool_gradient_history):
+        # One scan per growth step, plus the last one that met the threshold.
+        assert len(scans) == len(trace.records)
+        for record, gradients in zip(trace.records[1:], scans):
             magnitudes = np.abs(gradients)
             # Selection rule: the first word within TIE_TOLERANCE of the maximum.
             chosen = np.flatnonzero(magnitudes.max() - magnitudes < TIE_TOLERANCE)[0]
@@ -675,15 +700,14 @@ class TestAdaptVqeRun:
                 float(np.linalg.norm(gradients))
             )
 
-    def test_single_pair_pool_completeness_smoke(self):
+    def test_single_pair_pool_completeness_smoke(self, monkeypatch):
         # exact preparation must be reachable for one data qubit at several
         # temperatures within 30 iterations
+        monkeypatch.setattr(adapt, "MAX_VQE_ITERATIONS", 30)
         for beta_inv in (0.5, 1.0, 2.0):
             target = single_qubit_target(beta=1.0 / beta_inv)
             ctx = ObjectiveContext(target, 1, 1)
-            settings = VqeSettings(
-                pool=build_vqe_pool(2), epsilon=1e-7, max_iterations=30
-            )
+            settings = VqeSettings(pool=build_vqe_pool(2), epsilon=1e-7)
             outcome = restart_postselect(
                 lambda i: adapt_vqe_run(settings, ctx, target, seed=200 + i), 3
             )
@@ -696,11 +720,10 @@ class TestAdaptVqeRun:
         _, t2 = adapt_vqe_run(settings, ctx, ctx.target, seed=11)
         assert t1.comparable_dict() == t2.comparable_dict()
 
-    def test_stalls_when_threshold_unreachable(self):
+    def test_stalls_when_threshold_unreachable(self, monkeypatch):
+        monkeypatch.setattr(adapt, "MAX_VQE_ITERATIONS", 60)
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
-        settings = VqeSettings(
-            pool=build_vqe_pool(4), epsilon=1e-15, max_iterations=60
-        )
+        settings = VqeSettings(pool=build_vqe_pool(4), epsilon=1e-15)
         _, trace = adapt_vqe_run(settings, ctx, ctx.target, seed=7)
         assert trace.termination in ("stalled", "threshold")
         if trace.termination == "stalled":
@@ -708,12 +731,11 @@ class TestAdaptVqeRun:
             assert max(tail) - min(tail) < 1e-9
 
 
-def qaoa_settings(n, layer_budget=3, record=False):
+def qaoa_settings(n, layer_budget=3):
     return QaoaSettings(
         pool=build_qaoa_pool(n, entangling_hamiltonian(n)),
         cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n)),
         layer_budget=layer_budget,
-        record_pool_gradients=record,
     )
 
 
@@ -755,13 +777,14 @@ class TestAdaptQaoaRun:
         objectives = [r.objective for r in trace.records]
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
-    def test_selection_recorded_consistently(self):
+    def test_selection_recorded_consistently(self, monkeypatch):
         n = 2
         target = gibbs_state(ising_hamiltonian(n), 0.7)
         ctx = ObjectiveContext(target, n, n)
-        settings = qaoa_settings(n, 2, record=True)
-        _, trace = adapt_qaoa_run(settings, ctx, target, gamma0=0.5, seed=3)
-        for record, gradients in zip(trace.records[1:], trace.pool_gradient_history):
+        scans = record_scans(monkeypatch)
+        _, trace = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, gamma0=0.5, seed=3)
+        assert len(scans) == len(trace.records) - 1 == 2
+        for record, gradients in zip(trace.records[1:], scans):
             magnitudes = np.abs(gradients)
             assert abs(record.selection_gradient) >= magnitudes.max() - 1e-12
 
@@ -843,8 +866,6 @@ class TestBaselineRun:
 
 @pytest.mark.parametrize("flavor", ["qaoa", "vqe"])
 def test_records_carry_optimizer_work(monkeypatch, flavor):
-    from gibbsprep import adapt
-
     results = []
     real = adapt.optimize_fixed_ansatz
 
@@ -982,6 +1003,11 @@ class TestRestartPostselect:
         outcome = restart_postselect(sometimes, 3)
         assert outcome.restart_index == 2
         assert outcome.failures == [(0, "boom")]
+        # Each trace keeps its own restart index; the failed one has none.
+        assert {i: t.final_objective for i, t in outcome.traces.items()} == {
+            1: -0.1,
+            2: -0.2,
+        }
 
     def test_protocol_default_restart_counts(self):
         assert DEFAULT_VQE_RESTARTS == 5

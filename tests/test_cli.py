@@ -138,6 +138,19 @@ class TestSweepCommands:
         )
         assert code == 2
 
+    def test_failed_trace_write_exit_code(self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        real = Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if path.parent.name == "traces":
+                raise OSError(28, "No space left on device")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        code = main(["vqe-gibbs", "--config", str(tiny_cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+
     def test_foreign_csv_header_exit_code(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

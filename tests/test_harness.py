@@ -1,5 +1,6 @@
 """Config parsing, seed scheme, sweeps, CSV persistence, plot-data emission."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -8,9 +9,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbsprep import NumericalFailure, partial_trace_ancilla
+from gibbsprep import (
+    Ansatz,
+    NumericalFailure,
+    PoolOperator,
+    cnot_count,
+    entangling_hamiltonian,
+    ising_hamiltonian,
+    joint_problem_hamiltonian,
+    partial_trace_ancilla,
+    singlet_reference_state,
+)
+from gibbsprep.adapt import ENTANGLER_LABEL
 from gibbsprep.harness import (
     CSV_COLUMNS,
+    CSV_SCHEMA_COMMENT,
+    MODEL_BUILDERS,
     ConfigError,
     DEFAULT_QAOA_BETA_INV_GRID,
     DEFAULT_VQE_BETA_INV_GRID,
@@ -39,7 +53,7 @@ def tiny_config(**overrides):
         master_seed=7,
     )
     base.update(overrides)
-    return ExperimentConfig(**base).normalized()
+    return ExperimentConfig(**base)
 
 
 class TestConfig:
@@ -97,11 +111,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="commut"):
             tiny_config(algorithm="qaoa", model="xy", n_data=3, n_ancilla=(3,))
 
+    def test_invalid_config_refused_when_constructed(self):
+        with pytest.raises(ConfigError, match="restarts"):
+            ExperimentConfig(restarts=-1)
+        valid = tiny_config()
+        with pytest.raises(ConfigError, match="n_ancilla"):
+            dataclasses.replace(valid, n_ancilla=(0,))
+        with pytest.raises(ConfigError, match="commut"):
+            dataclasses.replace(
+                valid, algorithm="qaoa", model="xy", n_data=3, n_ancilla=(3,)
+            )
+
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    @pytest.mark.parametrize("n_data", range(2, 7))
+    def test_commute_check_on_h_agrees_with_the_mirrored_cost(self, model, n_data):
+        h = MODEL_BUILDERS[model](n_data)
+        commutes = joint_problem_hamiltonian(h).terms_commute
+        assert h.terms_commute == commutes
+        layered = dict(model=model, n_data=n_data, n_ancilla=(n_data,))
+        if commutes:
+            tiny_config(algorithm="qaoa", **layered)
+        else:
+            with pytest.raises(ConfigError, match="commut"):
+                tiny_config(algorithm="qaoa", **layered)
+
     def test_default_grids_and_restarts(self):
-        vqe = ExperimentConfig(algorithm="vqe").normalized()
+        vqe = ExperimentConfig(algorithm="vqe")
         assert vqe.beta_inv_list == DEFAULT_VQE_BETA_INV_GRID
         assert vqe.restarts == 5
-        qaoa = ExperimentConfig(algorithm="qaoa").normalized()
+        qaoa = ExperimentConfig(algorithm="qaoa")
         assert qaoa.beta_inv_list == DEFAULT_QAOA_BETA_INV_GRID
         assert qaoa.restarts == 8
         assert qaoa.n_ancilla == (qaoa.n_data,)
@@ -332,6 +370,44 @@ class TestRunSweep:
             assert trace["config_hash"] == row["config_hash"]
             assert trace["postselected"]
 
+    def test_trace_files_keep_their_restart_index_after_a_failure(
+        self, monkeypatch, tmp_path
+    ):
+        from gibbsprep import harness
+
+        real = harness.adapt_vqe_run
+
+        def first_restart_fails(settings, ctx, target, seed):
+            if seed == cell_seed(7, "ising", 0, 1, 0):
+                raise NumericalFailure("injected restart failure")
+            return real(settings, ctx, target, seed)
+
+        monkeypatch.setattr(harness, "adapt_vqe_run", first_restart_fails)
+        out = tmp_path / "out"
+        run_sweep(tiny_config(restarts=3, out=str(out)))
+        paths = sorted((out / "traces").glob("*.json"))
+        assert [p.suffixes[-2] for p in paths] == [".r1", ".r2"]
+        for path in paths:
+            payload = json.loads(path.read_text())
+            index = payload["restart_index"]
+            assert path.name.endswith(f".r{index}.json")
+            assert payload["seed"] == cell_seed(7, "ising", 0, 1, index)
+
+    def test_failed_trace_write_leaves_no_row(self, monkeypatch, tmp_path):
+        real = Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if path.parent.name == "traces":
+                raise OSError(28, "No space left on device")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="No space left"):
+            run_sweep(tiny_config(out=str(out)))
+        header = [CSV_SCHEMA_COMMENT, ",".join(CSV_COLUMNS)]
+        assert (out / "results.csv").read_text().splitlines() == header
+
     def test_append_rejects_foreign_header(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -358,6 +434,25 @@ class TestRunSweep:
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
         value = objective(partial_trace_ancilla(state), ctx)
         assert abs(value - records[0].objective) < 1e-12
+
+    def test_replay_builds_one_entangler_per_call(self, monkeypatch, tmp_path):
+        out = tmp_path / "out"
+        config = tiny_config(algorithm="baseline", n_ancilla=(2,), layer_budget=4,
+                             out=str(out))
+        run_sweep(config)
+        (path,) = (out / "traces").glob("*.json")
+        payload = json.loads(path.read_text())
+        assert payload["generator_labels"] == [ENTANGLER_LABEL] * 4
+        built = []
+        real = PoolOperator.from_entangler
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(PoolOperator, "from_entangler", counted)
+        replay_state(payload, config.n_data, 2)
+        assert len(built) == 1
 
 
 @pytest.fixture
@@ -523,6 +618,30 @@ class TestEmitPlotData:
         emit_plot_data(out / "results.csv", "fig1", tmp_path / "plot")
         overlay = tmp_path / "plot" / "xy_fixed_mixer_cnots.dat"
         assert overlay.read_text() == "# beta_inv cnot_count\n1 45\n"
+
+    @pytest.mark.parametrize("n_data", range(2, 7))
+    def test_fig1_overlay_is_the_baseline_ansatz_cnot_count(self, n_data):
+        from gibbsprep.harness import _fixed_mixer_cnots
+
+        entangler = PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
+        ansatz = Ansatz(
+            flavor="baseline",
+            n_data=n_data,
+            n_ancilla=n_data,
+            reference=singlet_reference_state(n_data),
+            reference_spec={"kind": "singlet"},
+            generators=[entangler] * math.ceil(n_data / 2),
+            cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n_data)),
+        )
+        assert _fixed_mixer_cnots("ising", n_data) == cnot_count(ansatz)
+
+    def test_fig1_xy_overlay_is_pinned(self):
+        # No layered xy ansatz exists at n_data >= 3 to count, so the values
+        # of the convention n + ceil(n/2) (2 per two-qubit term + 3 n) are pinned.
+        from gibbsprep.harness import _fixed_mixer_cnots
+
+        overlays = [_fixed_mixer_cnots("xy", n) for n in range(2, 7)]
+        assert overlays == [16, 45, 60, 110, 132]
 
     def test_fig2_layer_series_and_convergence(self, sweep_outputs, tmp_path):
         written = emit_plot_data(sweep_outputs / "results.csv", "fig2", tmp_path)

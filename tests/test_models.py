@@ -35,7 +35,7 @@ class TestHermitianOperator:
 
     def test_eigensystem_reconstructs(self):
         op = xy_hamiltonian(3)
-        w, v = op.eigensystem()
+        w, v = op.eigensystem
         rebuilt = (v * w) @ v.conj().T
         scale = np.linalg.norm(op.matrix)
         assert np.linalg.norm(op.matrix - rebuilt) <= 1e-9 * scale
@@ -47,9 +47,9 @@ class TestHermitianOperator:
             HermitianOperator(2, ((1.0, PauliString((3,), "X")),))
 
     def test_terms_commute(self):
-        assert ising_hamiltonian(4).terms_commute()
-        assert entangling_hamiltonian(3).terms_commute()
-        assert not xy_hamiltonian(4).terms_commute()
+        assert ising_hamiltonian(4).terms_commute
+        assert entangling_hamiltonian(3).terms_commute
+        assert not xy_hamiltonian(4).terms_commute
 
 
 class TestIsing:
@@ -69,7 +69,7 @@ class TestIsing:
         for z in range(16):
             s = [1 - 2 * ((z >> q) & 1) for q in range(4)]
             energies.append(-sum(s[i] * s[(i + 1) % 4] for i in range(4)))
-        w, _ = h.eigensystem()
+        w, _ = h.eigensystem
         assert np.allclose(np.sort(w), np.sort(energies), atol=1e-12)
         assert sorted(energies).count(-4) == 2
         assert sorted(energies).count(0) == 12
@@ -84,7 +84,7 @@ class TestXY:
             dense_pauli(2, (0, 1), "XX") + dense_pauli(2, (0, 1), "YY")
         )
         assert np.allclose(h.matrix, expected)
-        w, _ = h.eigensystem()
+        w, _ = h.eigensystem
         assert np.allclose(np.sort(w), [-4, 0, 0, 4], atol=1e-12)
 
     def test_no_diagonal_element(self):
@@ -103,7 +103,7 @@ class TestXY:
 class TestEntangler:
     def test_ground_energy_and_uniqueness(self):
         h = entangling_hamiltonian(2)
-        w, _ = h.eigensystem()
+        w, _ = h.eigensystem
         assert abs(w[0] + 6.0) < 1e-12
         assert w[1] - w[0] > 1.0  # unique ground state, clear gap
 
@@ -111,7 +111,7 @@ class TestEntangler:
         h = entangling_hamiltonian(2)
         s = singlet_reference_state(2).amplitudes
         assert np.allclose(h.matrix @ s, -6.0 * s, atol=1e-12)
-        w, v = h.eigensystem()
+        w, v = h.eigensystem
         assert abs(abs(np.vdot(v[:, 0], s)) - 1.0) < 1e-12
 
     def test_traceless(self):
