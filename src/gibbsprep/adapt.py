@@ -48,7 +48,6 @@ from .objective import ObjectiveContext, objective, objective_raw
 from .simcore import (
     PauliString,
     StateVector,
-    apply_cnot,
     fidelity,
     from_bell_raw,
     partial_trace_ancilla,
@@ -200,13 +199,25 @@ class CostGate:
 
     @property
     def terms(self) -> tuple[tuple[float, PauliString], ...]:
-        """The generator ``(H (x) 1 + 1 (x) H)/2`` as a sum of commuting Pauli words."""
+        """The generator ``(H (x) 1 + 1 (x) H)/2`` as a sum of commuting Pauli words.
+
+        The shift-rule oracle's per-word unrolling is exact only then, so a
+        ``H`` whose terms do not commute raises ``ValueError`` (the mirrored
+        halves share no qubit, so the sum commutes iff ``H`` does).
+        """
+        if not self.hamiltonian.terms_commute:
+            raise ValueError("the shift rule needs a cost whose terms commute")
         mirrored = joint_problem_hamiltonian(self.hamiltonian)
         return tuple((0.5 * c, p) for c, p in mirrored.terms)
 
     @property
     def cnot_cost(self) -> int:
-        """Adopted convention: 2 CNOTs per weight-2 term of ``H``."""
+        """Adopted convention: 2 CNOTs per weight-2 term of ``H``.
+
+        For a ``H`` whose terms do not commute this counts one product of
+        per-term rotations, the convention of the fig1 overlay, not an exact
+        compilation of the gate.
+        """
         return 2 * sum(1 for _, p in self.hamiltonian.terms if p.weight == 2)
 
     @cached_property
@@ -243,9 +254,24 @@ class CostGate:
 
 
 @lru_cache(maxsize=None)
-def _shared_cost_gate(hamiltonian: HermitianOperator) -> CostGate:
-    """Keyed on ``H``'s terms, so the frame and spectrum are built once per ``H``."""
-    return CostGate(hamiltonian)
+def _cost_gate(cost: HermitianOperator, n_data: int, n_ancilla: int) -> CostGate:
+    """The :class:`CostGate` of ``cost = H (x) 1 + 1 (x) H``, built once per cost.
+
+    ``H`` is the cost's data-register terms; ``ValueError`` unless the cost
+    is those terms, then the same on ``n_ancilla == n_data`` ancillas.
+    """
+    n = n_data
+    h = HermitianOperator(n, tuple(t for t in cost.terms if t[1].support[-1] < n))
+    if (
+        n_ancilla != n
+        or cost.n_qubits != 2 * n
+        or cost.terms != h.terms + h.shifted_to(2 * n, n).terms
+    ):
+        raise ValueError(
+            "cost operator must be the mirrored H (x) 1 + 1 (x) H: its "
+            "data-register terms, then the same on n_ancilla == n_data ancillas"
+        )
+    return CostGate(h)
 
 
 def build_vqe_pool(n_total_qubits: int) -> tuple[PoolOperator, ...]:
@@ -294,8 +320,9 @@ def reference_from_angles(
 ) -> StateVector:
     """One y-rotation per qubit, then a CNOT from each ancilla to each data qubit.
 
-    ``angles[q]`` drives ``exp(-i angles[q] Y_q)``; the CNOTs (ancilla
-    control, data target) all commute, so their order is irrelevant.
+    ``angles[q]`` drives ``exp(-i angles[q] Y_q)``. The CNOTs (ancilla
+    control, data target) all commute, and together they flip every data
+    bit iff the ancilla bits have odd parity: one gather.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (n_data + n_ancilla,):
@@ -303,10 +330,10 @@ def reference_from_angles(
     state = StateVector.computational_basis(n_data, n_ancilla)
     for q, alpha in enumerate(angles):
         state = pauli_rotation(state, PauliString((q,), "Y"), -float(alpha))
-    for a in range(n_ancilla):
-        for d in range(n_data):
-            state = apply_cnot(state, control=n_data + a, target=d)
-    return state
+    index = np.arange(1 << (n_data + n_ancilla))
+    odd = np.bitwise_count((index >> n_data).astype(np.uint64)) & 1
+    flip = np.where(odd, (1 << n_data) - 1, 0)
+    return state.with_amplitudes(state.amplitudes[index ^ flip])
 
 
 def vqe_reference_state(
@@ -361,9 +388,10 @@ class Ansatz:
     registers, ``H (x) 1 + 1 (x) H`` with ``n_ancilla == n_data``: its terms
     are ``H``'s data-register terms followed by the same terms shifted onto
     the ancillas, as :func:`~gibbsprep.models.joint_problem_hamiltonian`
-    builds it. The cost gate ``exp(i gamma (H (x) 1 + 1 (x) H)/2)`` is then a
-    phase in a frame built from ``H`` on the data register alone
-    (:attr:`data_hamiltonian`, :class:`CostGate`).
+    builds it. ``H`` may be any Hamiltonian: the cost gate
+    ``exp(i gamma (H (x) 1 + 1 (x) H)/2)`` is a phase in a frame built from
+    ``H`` on the data register alone (:class:`CostGate`). Only the shift-rule
+    oracle needs ``H``'s terms to commute (:attr:`CostGate.terms`).
     """
 
     flavor: str
@@ -387,35 +415,13 @@ class Ansatz:
         if self.flavor in ("qaoa", "baseline"):
             if self.cost_operator is None:
                 raise ValueError(f"{self.flavor} ansatz needs a cost operator")
-            # objective.shift_rule_gradient unrolls the cost gate into one
-            # rotation per term, which is exact only for commuting terms.
-            if not self.cost_operator.terms_commute:
-                raise ValueError(
-                    "cost operator terms must mutually commute for layered ansatz"
-                )
-            self.data_hamiltonian  # raises unless the cost is mirrored
+            self.cost_gate  # raises unless the cost is mirrored
         self.parameters = np.asarray(self.parameters, dtype=np.float64)
 
     @cached_property
-    def data_hamiltonian(self) -> HermitianOperator:
-        """``H`` of the layered cost ``H (x) 1 + 1 (x) H``: its data-register terms."""
-        cost, n = self.cost_operator, self.n_data
-        h = HermitianOperator(n, tuple(t for t in cost.terms if t[1].support[-1] < n))
-        if (
-            self.n_ancilla != n
-            or cost.n_qubits != 2 * n
-            or cost.terms != h.terms + h.shifted_to(2 * n, n).terms
-        ):
-            raise ValueError(
-                "cost operator must be the mirrored H (x) 1 + 1 (x) H: its "
-                "data-register terms, then the same on n_ancilla == n_data ancillas"
-            )
-        return h
-
-    @cached_property
     def cost_gate(self) -> CostGate:
-        """The :class:`CostGate` of :attr:`data_hamiltonian`, shared per ``H``."""
-        return _shared_cost_gate(self.data_hamiltonian)
+        """The layered cost as one :class:`CostGate`, shared per cost operator."""
+        return _cost_gate(self.cost_operator, self.n_data, self.n_ancilla)
 
     @property
     def gates(self) -> list[PoolOperator | CostGate]:

@@ -1,6 +1,8 @@
 """Experiment configuration, sweeps, persistence, and plot-data emission.
 
-An :class:`ExperimentConfig` is complete and valid once constructed.
+An :class:`ExperimentConfig` is complete and valid once constructed. Every
+model runs under every algorithm; the layered ones need ``n_ancilla ==
+n_data``.
 Sweeps iterate the cell grid (ancilla count x inverse-temperature list),
 run the configured number of seeded restarts per cell, postselect by final
 objective, and append one result row per cell to a CSV whose column order is
@@ -22,7 +24,7 @@ those plain config values, plus ``epsilon`` (``vqe``) or ``layer_budget``
 (``qaoa`` and ``baseline``, which share one entry). That is the model
 Hamiltonian with its eigensystem, and the settings with the pool, the pool's
 support groups, the cost operator and the entangler's spectrum. A layered
-ansatz's cost gate is shared per Hamiltonian, and a target builds its
+ansatz's cost gate is shared per cost operator, and a target builds its
 density matrix and that matrix's square root once. A cell builds only what
 depends on its temperature and seeds: the targets, the objective context and
 each restart's run.
@@ -154,13 +156,6 @@ class ExperimentConfig:
             if any(a != self.n_data for a in self.n_ancilla):
                 raise ConfigError(
                     f"{self.algorithm} requires n_ancilla == n_data"
-                )
-            # H (x) 1 + 1 (x) H commutes iff H does: its halves share no qubit.
-            if not MODEL_BUILDERS[self.model](self.n_data).terms_commute:
-                raise ConfigError(
-                    f"{self.algorithm} needs a cost Hamiltonian with mutually "
-                    f"commuting terms; {self.model} at n_data={self.n_data} "
-                    "does not qualify"
                 )
 
     def config_hash(self) -> str:
@@ -686,7 +681,8 @@ def _write_series(path: Path, header: str, rows: list[tuple]) -> Path:
 def _fixed_mixer_cnots(model: str, n_data: int) -> int:
     """CNOTs of the fixed-entangler ansatz at n_data/2 layers, from its gates.
 
-    No :class:`Ansatz` is built: it refuses xy at ``n_data >= 3``.
+    That ``baseline`` ansatz's :func:`~gibbsprep.adapt.cnot_count`, with no
+    reference state built.
     """
     cost = CostGate(MODEL_BUILDERS[model](n_data))
     entangler = PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)

@@ -79,9 +79,10 @@ def shift_rule_gradient(ansatz, params: np.ndarray, ctx: ObjectiveContext) -> np
     """dC/dparams of ``ansatz`` at ``params`` by the two-point shift rule.
 
     Reads only ``ansatz.reference`` and ``ansatz.gates``. Gate ``k`` unrolls
-    into the rotations ``exp(i params[k] c_j P_j)`` of its commuting ``terms``,
-    and each word's ``aux(+pi/4) - aux(-pi/4)`` against the unshifted state
-    adds ``c_j`` times itself to ``params[k]``. A pool operator's candidate
+    into the rotations ``exp(i params[k] c_j P_j)`` of its commuting ``terms``
+    (a cost gate whose terms do not commute raises ``ValueError``), and each
+    word's ``aux(+pi/4) - aux(-pi/4)`` against the unshifted state adds
+    ``c_j`` times itself to ``params[k]``. A pool operator's candidate
     gradient at a state is the entry of the one-gate ansatz on it at 0.
     """
     reference = ansatz.reference

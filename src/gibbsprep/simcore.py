@@ -253,24 +253,6 @@ def pauli_rotation(state: StateVector, p: PauliString, theta: float) -> StateVec
     )
 
 
-@lru_cache(maxsize=None)
-def _cnot_table(n_qubits: int, control: int, target: int):
-    if control == target:
-        raise ValueError("CNOT control and target must differ")
-    if not (0 <= control < n_qubits and 0 <= target < n_qubits):
-        raise IndexError("CNOT qubits out of range")
-    index = np.arange(1 << n_qubits, dtype=np.intp)
-    source = index ^ (((index >> control) & 1) << target)
-    source.setflags(write=False)
-    return source
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """CNOT with the given control/target (a self-inverse basis permutation)."""
-    source = _cnot_table(state.n_total, control, target)
-    return state.with_amplitudes(state.amplitudes[source])
-
-
 def partial_trace_ancilla_raw(
     amplitudes: np.ndarray, n_data: int, n_ancilla: int
 ) -> np.ndarray:

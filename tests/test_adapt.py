@@ -53,6 +53,7 @@ from conftest import (
     central_difference,
     dense_exponential,
     dense_operator,
+    dense_pauli,
     purity,
     random_state,
 )
@@ -136,6 +137,24 @@ class TestReferenceStates:
         assert np.array_equal(a.amplitudes, b.amplitudes)
         assert np.array_equal(ang_a, ang_b)
 
+    @pytest.mark.parametrize("n_data, n_ancilla", [(2, 1), (2, 2), (3, 2), (2, 3)])
+    def test_entangled_reference_matches_dense_circuit(self, n_data, n_ancilla, rng):
+        n = n_data + n_ancilla
+        angles = rng.uniform(0, 2 * np.pi, n)
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[0] = 1.0
+        for q, alpha in enumerate(angles):
+            psi = dense_exponential(dense_pauli(n, (q,), "Y"), -alpha) @ psi
+        identity = np.eye(1 << n)
+        for a in range(n_data, n):
+            for d in range(n_data):
+                # CNOT = (1 + Z_a)/2 + (1 - Z_a) X_d / 2
+                z_a = dense_pauli(n, (a,), "Z")
+                flip = dense_pauli(n, (d,), "X")
+                psi = ((identity + z_a) / 2 + (identity - z_a) @ flip / 2) @ psi
+        state = reference_from_angles(n_data, n_ancilla, angles)
+        assert np.abs(state.amplitudes - psi).max() <= 1e-14
+
     def test_singlet_energy(self):
         for n in (1, 2, 3):
             state = singlet_reference_state(n)
@@ -196,17 +215,20 @@ class TestAnsatzGradients:
         _, grad = ansatz_value_and_gradient(ansatz, params, ctx)
         assert np.abs(grad - central_difference(ansatz.prepare, params, ctx)).max() < 1e-6
 
-    def test_layered_rejects_noncommuting_cost(self):
+    def test_layered_accepts_noncommuting_cost(self):
         n = 3
-        with pytest.raises(ValueError, match="commute"):
-            Ansatz(
-                flavor="baseline",
-                n_data=n,
-                n_ancilla=n,
-                reference=singlet_reference_state(n),
-                reference_spec={"kind": "singlet"},
-                cost_operator=joint_problem_hamiltonian(xy_hamiltonian(n)),
-            )
+        assert not xy_hamiltonian(n).terms_commute
+        ansatz = Ansatz(
+            flavor="baseline",
+            n_data=n,
+            n_ancilla=n,
+            reference=singlet_reference_state(n),
+            reference_spec={"kind": "singlet"},
+            generators=[build_qaoa_pool(n, entangling_hamiltonian(n))[-1]],
+            cost_operator=joint_problem_hamiltonian(xy_hamiltonian(n)),
+        )
+        assert ansatz.cost_gate.hamiltonian == xy_hamiltonian(n)
+        assert ansatz.prepare(np.array([0.3, -0.2])).n_total == 2 * n
 
     def test_rejects_reference_of_another_register_split(self):
         # The objective would use the 3+1 split, prepare() the 2+2 state.
@@ -246,12 +268,19 @@ def layered_ansatz(flavor, n, h_data, generators, params):
 
 
 def cost_model(name, n):
-    """A data Hamiltonian on ``n`` qubits with commuting terms.
+    """A data Hamiltonian on ``n`` qubits.
 
     ``ising`` is diagonal, ``xx`` an open XX chain with distinct weights
     (real, not diagonal), and ``complex`` has Y letters, so that its
-    ``exp(i gamma H/2)`` is not a symmetric matrix.
+    ``exp(i gamma H/2)`` is not a symmetric matrix. ``xy`` is the one whose
+    terms do not commute: the periodic XY chain plus a field ``0.5 Z_0``
+    (``X`` and ``Z`` on one qubit).
     """
+    if name == "xy":
+        field = ((0.5, PauliString((0,), "Z")),)
+        if n == 1:
+            return HermitianOperator(1, ((-0.8, PauliString((0,), "X")),) + field)
+        return HermitianOperator(n, xy_hamiltonian(n).terms + field)
     if name == "ising":
         return (
             ising_hamiltonian(n) if n > 1
@@ -276,11 +305,13 @@ def cost_model(name, n):
 class TestCostLayer:
     """The cost gate from the data register against the dense 2n-qubit exponential."""
 
-    @pytest.mark.parametrize("model", ["ising", "xx", "complex"])
+    @pytest.mark.parametrize("model", ["ising", "xx", "complex", "xy"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_dense_exponential(self, model, n, rng):
         ansatz = layered_ansatz("baseline", n, cost_model(model, n), [], np.zeros(0))
-        assert (ansatz.data_hamiltonian.diagonal is None) == (model != "ising")
+        h = ansatz.cost_gate.hamiltonian
+        assert h.terms_commute == (model != "xy")
+        assert (h.diagonal is None) == (model != "ising")
         cost = ansatz.cost_gate
         joint = dense_operator(ansatz.cost_operator)
         psi = random_state(n, n, rng).amplitudes
@@ -308,7 +339,7 @@ class TestCostLayer:
         out, _, _ = _apply_gate(ansatz.cost_gate, gamma, psi, 2 * n)
         assert np.abs(out - expected).max() <= 1e-13
 
-    @pytest.mark.parametrize("model", ["ising", "xx", "complex"])
+    @pytest.mark.parametrize("model", ["ising", "xx", "complex", "xy"])
     def test_spectrum_values_index_the_energies(self, model):
         n = 3
         ansatz = layered_ansatz("baseline", n, cost_model(model, n), [], np.zeros(0))
@@ -336,7 +367,7 @@ class TestCostLayer:
             layered_ansatz(flavor, n, ising_hamiltonian(n), [], np.zeros(0))
             for flavor in ("qaoa", "baseline")
         )
-        assert first.data_hamiltonian is not second.data_hamiltonian
+        assert first.cost_operator is not second.cost_operator
         assert first.cost_gate is second.cost_gate
         other = layered_ansatz("qaoa", n, cost_model("xx", n), [], np.zeros(0))
         assert other.cost_gate is not first.cost_gate
@@ -396,11 +427,25 @@ class TestAdjointEngine:
             ctx = ObjectiveContext(gibbs_state(h_data, 1.3), n, n)
             params = rng.uniform(-np.pi, np.pi, 6)
             ansatz = layered_ansatz("qaoa", n, h_data, mixers, params)
-            assert ansatz.data_hamiltonian.diagonal is None
+            assert ansatz.cost_gate.hamiltonian.diagonal is None
             self.check(ansatz, params, ctx)
             # The cost layer comes from the data register: nothing 2n-qubit is built.
             built = ansatz.cost_operator.__dict__.keys()
             assert not {"matrix", "eigensystem", "diagonal"} & built
+
+    def test_noncommuting_cost_against_central_differences(self, rng):
+        """Adjoint only: the shift rule refuses a cost whose terms do not commute."""
+        n = 3
+        h_data = xy_hamiltonian(n)
+        ctx = ObjectiveContext(gibbs_state(h_data, 1.0), n, n)
+        pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+        params = rng.uniform(-np.pi, np.pi, 6)
+        ansatz = layered_ansatz("qaoa", n, h_data, [pool[-1], pool[7], pool[-1]], params)
+        value, grad = ansatz_value_and_gradient(ansatz, params, ctx)
+        assert value == objective(partial_trace_ancilla(ansatz.prepare(params)), ctx)
+        assert np.abs(grad - central_difference(ansatz.prepare, params, ctx)).max() < 1e-6
+        with pytest.raises(ValueError, match="commute"):
+            shift_rule_gradient(ansatz, params, ctx)
 
     def test_hundred_layer_vqe(self, rng):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(3), 1.1), 3, 2)

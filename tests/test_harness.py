@@ -15,12 +15,11 @@ from gibbsprep import (
     PoolOperator,
     cnot_count,
     entangling_hamiltonian,
-    ising_hamiltonian,
     joint_problem_hamiltonian,
     partial_trace_ancilla,
     singlet_reference_state,
 )
-from gibbsprep.adapt import ENTANGLER_LABEL
+from gibbsprep.adapt import ENTANGLER_LABEL, CostGate
 from gibbsprep.harness import (
     CSV_COLUMNS,
     CSV_SCHEMA_COMMENT,
@@ -105,11 +104,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_ancilla == n_data"):
             tiny_config(algorithm="qaoa", n_ancilla=(1,))
 
-    def test_layered_rejects_noncommuting_cost_model(self):
-        # 2-site XY terms commute, 3-site ones do not
-        tiny_config(algorithm="qaoa", model="xy", n_data=2, n_ancilla=(2,))
-        with pytest.raises(ConfigError, match="commut"):
-            tiny_config(algorithm="qaoa", model="xy", n_data=3, n_ancilla=(3,))
+    def test_layered_accepts_noncommuting_cost_model(self):
+        # 2-site XY terms commute, 3-site ones do not; the cost gate takes both.
+        for n_data in (2, 3):
+            config = tiny_config(
+                algorithm="qaoa", model="xy", n_data=n_data, n_ancilla=(n_data,)
+            )
+            assert (config.model, config.n_data) == ("xy", n_data)
 
     def test_invalid_config_refused_when_constructed(self):
         with pytest.raises(ConfigError, match="restarts"):
@@ -117,23 +118,25 @@ class TestConfig:
         valid = tiny_config()
         with pytest.raises(ConfigError, match="n_ancilla"):
             dataclasses.replace(valid, n_ancilla=(0,))
-        with pytest.raises(ConfigError, match="commut"):
-            dataclasses.replace(
-                valid, algorithm="qaoa", model="xy", n_data=3, n_ancilla=(3,)
-            )
+        layered_xy = dict(algorithm="qaoa", model="xy", n_data=3)
+        with pytest.raises(ConfigError, match="n_ancilla == n_data"):
+            dataclasses.replace(valid, n_ancilla=(2,), **layered_xy)
+        assert dataclasses.replace(valid, n_ancilla=(3,), **layered_xy).n_data == 3
 
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
     @pytest.mark.parametrize("n_data", range(2, 7))
     def test_commute_check_on_h_agrees_with_the_mirrored_cost(self, model, n_data):
+        # The config takes every model; the one commute check is the shift
+        # rule's, in CostGate.terms, and it reads H, not the mirrored cost.
         h = MODEL_BUILDERS[model](n_data)
         commutes = joint_problem_hamiltonian(h).terms_commute
         assert h.terms_commute == commutes
-        layered = dict(model=model, n_data=n_data, n_ancilla=(n_data,))
+        tiny_config(algorithm="qaoa", model=model, n_data=n_data, n_ancilla=(n_data,))
         if commutes:
-            tiny_config(algorithm="qaoa", **layered)
+            assert len(CostGate(h).terms) == 2 * len(h.terms)
         else:
-            with pytest.raises(ConfigError, match="commut"):
-                tiny_config(algorithm="qaoa", **layered)
+            with pytest.raises(ValueError, match="commute"):
+                CostGate(h).terms
 
     def test_default_grids_and_restarts(self):
         vqe = ExperimentConfig(algorithm="vqe")
@@ -460,7 +463,7 @@ def cold_caches():
     """The process-wide builders emptied before the test and after it."""
     from gibbsprep import adapt, cli, harness
 
-    caches = (harness._sweep_invariants, adapt._shared_cost_gate, cli._build_parser)
+    caches = (harness._sweep_invariants, adapt._cost_gate, cli._build_parser)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -611,8 +614,7 @@ class TestEmitPlotData:
         assert len(body) == 3  # header + 2 temperatures
 
     def test_fig1_fixed_mixer_overlay_for_xy(self, tmp_path):
-        # The overlay is a gate count: it needs no layered xy run, which the
-        # commuting-cost check refuses at n_data >= 3.
+        # The overlay is a gate count: it needs no layered xy run.
         out = tmp_path / "out"
         run_sweep(tiny_config(model="xy", n_data=3, out=str(out)))
         emit_plot_data(out / "results.csv", "fig1", tmp_path / "plot")
@@ -624,20 +626,21 @@ class TestEmitPlotData:
         from gibbsprep.harness import _fixed_mixer_cnots
 
         entangler = PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
-        ansatz = Ansatz(
-            flavor="baseline",
-            n_data=n_data,
-            n_ancilla=n_data,
-            reference=singlet_reference_state(n_data),
-            reference_spec={"kind": "singlet"},
-            generators=[entangler] * math.ceil(n_data / 2),
-            cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n_data)),
-        )
-        assert _fixed_mixer_cnots("ising", n_data) == cnot_count(ansatz)
+        for model, build in sorted(MODEL_BUILDERS.items()):
+            ansatz = Ansatz(
+                flavor="baseline",
+                n_data=n_data,
+                n_ancilla=n_data,
+                reference=singlet_reference_state(n_data),
+                reference_spec={"kind": "singlet"},
+                generators=[entangler] * math.ceil(n_data / 2),
+                cost_operator=joint_problem_hamiltonian(build(n_data)),
+            )
+            assert _fixed_mixer_cnots(model, n_data) == cnot_count(ansatz)
 
     def test_fig1_xy_overlay_is_pinned(self):
-        # No layered xy ansatz exists at n_data >= 3 to count, so the values
-        # of the convention n + ceil(n/2) (2 per two-qubit term + 3 n) are pinned.
+        # The values of the convention n + ceil(n/2) (2 per two-qubit term + 3 n),
+        # so that a change to the convention shows.
         from gibbsprep.harness import _fixed_mixer_cnots
 
         overlays = [_fixed_mixer_cnots("xy", n) for n in range(2, 7)]

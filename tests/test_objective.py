@@ -27,6 +27,7 @@ from gibbsprep import (
     singlet_reference_state,
     xy_hamiltonian,
 )
+from gibbsprep.adapt import CostGate
 from conftest import (
     candidate_gradient,
     central_difference,
@@ -249,9 +250,15 @@ class TestSumGeneratorGradient:
         assert abs(total - per_term) < 1e-14
 
     def test_rejects_noncommuting_terms(self):
-        """A non-commuting generator cannot enter the oracle: no gate holds one."""
+        """A non-commuting generator cannot enter the oracle.
+
+        The entangler refuses one when it is built; a cost gate holds any
+        ``H``, and refuses when the oracle reads its terms.
+        """
         with pytest.raises(ValueError):
             PoolOperator.from_entangler(xy_hamiltonian(4), 2)
+        with pytest.raises(ValueError, match="commute"):
+            CostGate(xy_hamiltonian(3)).terms
 
 
 class TestInvariants:
