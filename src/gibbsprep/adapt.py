@@ -561,17 +561,21 @@ def _line_search(
     fun: ValueAndGradient, x: np.ndarray, f0: float, g0: np.ndarray,
     p: np.ndarray, alpha: float,
 ) -> tuple[float, float, np.ndarray] | None:
-    """A step ``alpha`` along ``p`` meeting the strong Wolfe conditions, or None.
+    """A step ``alpha`` along ``p`` as ``(alpha, f, g)``, or None.
 
     Nocedal & Wright Algs. 3.5 and 3.6 as one loop of at most
     ``MAX_LINE_SEARCH_TRIALS`` evaluations. ``lo`` is the best step so far
     with sufficient decrease. Until a bracket ``[lo, hi]`` is found the
     trial step doubles. After that, the zoom takes the minimizer of the
     quadratic through ``f(lo)``, ``f'(lo)`` and ``f(hi)``, and bisects when
-    that point is not well inside the bracket.
+    that point is not well inside the bracket. The first step that meets
+    the strong Wolfe conditions is returned. When the trials run out
+    (where the slope steepens along ``p``, no bracket is ever found), ``lo``
+    is returned if it moved, and None only if no trial decreased ``f``
+    enough.
     """
     d0 = g0 @ p
-    lo, hi = (0.0, f0, d0), None
+    lo, hi = (0.0, f0, d0, g0), None
     for _ in range(MAX_LINE_SEARCH_TRIALS):
         f, g = fun(x + alpha * p)
         d = g @ p
@@ -584,16 +588,16 @@ def _line_search(
             # Keep f'(lo) pointing into the bracket; hi is +inf until one is found.
             if d * (1.0 if hi is None else hi[0] - lo[0]) >= 0:
                 hi = lo
-            lo = (alpha, f, d)
+            lo = (alpha, f, d, g)
         if hi is None:
             alpha *= 2.0
             continue
-        (a, fa, da), width = lo, hi[0] - lo[0]
+        (a, fa, da, _), width = lo, hi[0] - lo[0]
         # Quadratic minimizer at a + t * width; ``excess`` is its curvature * width**2.
         excess = hi[1] - fa - da * width
         t = -da * width / (2.0 * excess) if excess > 0 else 0.5
         alpha = a + (t if 0.1 <= t <= 0.9 else 0.5) * width
-    return None
+    return (lo[0], lo[1], lo[3]) if lo[0] > 0 else None
 
 
 def _bfgs(
@@ -602,7 +606,8 @@ def _bfgs(
     """BFGS from ``x`` (Nocedal & Wright Alg. 6.1), where ``f, g = fun(x)``.
 
     The inverse Hessian starts at the identity, and its update is skipped
-    when ``y.s <= 0``. The first trial step of each line search is
+    when ``y.s <= 0``, as after a line search that ran out on a steepening
+    slope. The first trial step of each line search is
     ``min(1, 2.02 (f - f_prev) / g.p)``, with ``f_prev = f + |g|/2`` before
     the first step. Returns ``(x, f, g, iterations, converged)`` at the last
     accepted point: converged when ``|g|_inf <= GRADIENT_TOLERANCE``, not

@@ -689,6 +689,26 @@ class TestBfgsOnAnalyticObjectives:
         assert f <= f0 + WOLFE_DECREASE * alpha * (g0 @ p)
         assert abs(g @ p) <= WOLFE_CURVATURE * abs(g0 @ p)
 
+    def test_line_search_keeps_a_decrease_when_it_never_brackets(self):
+        """The slope of ``-x^2 - 1e-3 x`` steepens along the step: no trial brackets.
+
+        Every doubled trial decreases ``f`` enough but fails the curvature
+        test, so the trials run out; the last one is kept, not thrown away.
+        """
+        from gibbsprep.adapt import MAX_LINE_SEARCH_TRIALS, WOLFE_DECREASE, _line_search
+
+        def fun(x):
+            return float(-x @ x - 1e-3 * x.sum()), -2 * x - 1e-3
+
+        x = np.zeros(1)
+        f0, g0 = fun(x)
+        p = -g0
+        alpha, f, g = _line_search(fun, x, f0, g0, p, 1.0)
+        assert alpha == 2.0 ** (MAX_LINE_SEARCH_TRIALS - 1)
+        f_at, g_at = fun(x + alpha * p)
+        assert f == f_at and np.array_equal(g, g_at)
+        assert f <= f0 + WOLFE_DECREASE * alpha * (g0 @ p)
+
     def test_converged_start_takes_no_step(self, minimize):
         result = minimize(lambda x: (float(x @ x), 2 * x), [0.0, 0.0])
         assert (result.iterations, result.evaluations, result.converged) == (0, 1, True)
@@ -744,6 +764,20 @@ class TestAdaptVqeRun:
             assert record.pool_gradient_norm == pytest.approx(
                 float(np.linalg.norm(gradients))
             )
+
+    def test_line_search_that_runs_out_does_not_stall(self):
+        # A sweep cell's restart whose appended angle has negative curvature:
+        # each line search ran out and was thrown away, so three steps made no
+        # progress and the run ended stalled at fidelity 0.0927.
+        from gibbsprep.harness import cell_seed
+
+        target = gibbs_state(ising_hamiltonian(4), 1.0 / 3.0)
+        settings = VqeSettings(pool=build_vqe_pool(6), epsilon=1e-3)
+        seed = cell_seed(1234, "ising", 3, 2, 1)
+        _, trace = adapt_vqe_run(settings, ObjectiveContext(target, 4, 2), target, seed)
+        assert trace.termination == "threshold"
+        assert all(r.optimizer_iterations > 0 for r in trace.records[1:])
+        assert trace.final_fidelity > 0.4
 
     def test_single_pair_pool_completeness_smoke(self, monkeypatch):
         # exact preparation must be reachable for one data qubit at several
