@@ -404,7 +404,7 @@ class Ansatz:
     cost_operator: HermitianOperator | None = None
 
     def __post_init__(self):
-        if self.flavor not in ("vqe", "qaoa", "baseline"):
+        if self.flavor not in GROWTH_RUNS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         ref = self.reference
         if (ref.n_data, ref.n_ancilla) != (self.n_data, self.n_ancilla):
@@ -548,7 +548,6 @@ def ansatz_value_and_gradient(
 class FixedAnsatzResult:
     parameters: np.ndarray
     objective: float
-    gradient_norm: float  # infinity norm at the returned parameters
     iterations: int  # accepted BFGS steps
     converged: bool
     evaluations: int  # value+gradient calls, the one at ``init`` included
@@ -666,10 +665,8 @@ def optimize_fixed_ansatz(
             raise NumericalFailure("non-finite gradient during optimization")
         return value, grad
 
-    x, f, g, iterations, converged = _bfgs(fun, init, *fun(init))
-    return FixedAnsatzResult(
-        x, f, float(np.linalg.norm(g, np.inf)), iterations, converged, evaluations
-    )
+    x, f, _, iterations, converged = _bfgs(fun, init, *fun(init))
+    return FixedAnsatzResult(x, f, iterations, converged, evaluations)
 
 
 @dataclass
@@ -997,12 +994,10 @@ def _grow_layered_ansatz(
     settings: QaoaSettings,
     ctx: ObjectiveContext,
     fidelity_target: GibbsTarget,
-    gamma0: float,
     seed: int,
     flavor: str,
 ) -> tuple[Ansatz, AdaptTrace]:
-    if not 0.0 <= gamma0 <= np.pi / 2:
-        raise ValueError("gamma0 must lie in [0, pi/2]")
+    gamma0 = float(np.random.default_rng(seed).uniform(0.0, np.pi / 2))
     ansatz = Ansatz(
         flavor=flavor,
         n_data=ctx.n_data,
@@ -1026,50 +1021,57 @@ def _grow_layered_ansatz(
             )
             chosen, gradient = growth.scan(ansatz.reference.with_amplitudes(raw))
         growth.step(t0, chosen, gradient, (gamma0, 0.0))
-    return ansatz, growth.trace(seed, float(gamma0), "max_iters")
+    return ansatz, growth.trace(seed, gamma0, "max_iters")
 
 
 def adapt_qaoa_run(
     settings: QaoaSettings,
     ctx: ObjectiveContext,
     fidelity_target: GibbsTarget,
-    gamma0: float,
     seed: int,
 ) -> tuple[Ansatz, AdaptTrace]:
     """Grow the layered ansatz for a fixed layer budget, one mixer per layer.
 
-    Candidate mixers are ranked by the magnitude of the alpha-gradient
-    evaluated at (alpha = 0, gamma = gamma0) on top of the optimized
-    previous layers; gamma0 stays constant throughout the run. The new layer
-    is initialized at (gamma0, 0), which leaves the objective unchanged
-    because the cost gate commutes with the target, so the optimized
-    objective is nonincreasing across layers.
+    The singlet reference is fixed, so a restart differs from the others
+    only in its initial cost angle: ``gamma0`` is the first draw of
+    ``numpy.random.default_rng(seed).uniform(0, pi/2)``, for this run and
+    for :func:`baseline_qaoa_run` alike. Candidate mixers are ranked by the
+    magnitude of the alpha-gradient evaluated at (alpha = 0, gamma = gamma0)
+    on top of the optimized previous layers; gamma0 stays constant
+    throughout the run. The new layer is initialized at (gamma0, 0), which
+    leaves the objective unchanged because the cost gate commutes with the
+    target, so the optimized objective is nonincreasing across layers.
     """
-    return _grow_layered_ansatz(
-        settings, ctx, fidelity_target, gamma0, seed, "qaoa"
-    )
+    return _grow_layered_ansatz(settings, ctx, fidelity_target, seed, "qaoa")
 
 
 def baseline_qaoa_run(
     settings: QaoaSettings,
     ctx: ObjectiveContext,
     fidelity_target: GibbsTarget,
-    gamma0: float,
     seed: int,
 ) -> tuple[Ansatz, AdaptTrace]:
     """Fixed-mixer comparison ansatz: every layer uses the pair entangler."""
-    return _grow_layered_ansatz(
-        settings, ctx, fidelity_target, gamma0, seed, "baseline"
-    )
+    return _grow_layered_ansatz(settings, ctx, fidelity_target, seed, "baseline")
+
+
+# Each run takes (settings, ctx, fidelity_target, seed), and its result is a
+# function of those alone.
+GROWTH_RUNS = {
+    "vqe": adapt_vqe_run, "qaoa": adapt_qaoa_run, "baseline": baseline_qaoa_run
+}
 
 
 @dataclass
 class RestartOutcome:
-    ansatz: Ansatz
-    trace: AdaptTrace
     restart_index: int
     traces: dict[int, AdaptTrace]  # by restart index; failed restarts have none
     failures: list[tuple[int, str]]
+
+    @property
+    def trace(self) -> AdaptTrace:
+        """The postselected restart's trace."""
+        return self.traces[self.restart_index]
 
 
 def restart_postselect(
@@ -1083,21 +1085,18 @@ def restart_postselect(
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    runs: dict[int, tuple[Ansatz, AdaptTrace]] = {}
+    traces: dict[int, AdaptTrace] = {}
     failures: list[tuple[int, str]] = []
     for index in range(n_restarts):
         try:
-            runs[index] = run(index)
+            traces[index] = run(index)[1]
         except NumericalFailure as exc:
             failures.append((index, str(exc)))
-    if not runs:
+    if not traces:
         raise NumericalFailure(f"all {n_restarts} restarts failed: {failures}")
 
     def rank(index: int) -> tuple[float, int, int]:
-        trace = runs[index][1]
+        trace = traces[index]
         return trace.final_objective, trace.records[-1].cnot_count, index
 
-    best_index = min(runs, key=rank)
-    best_ansatz, best_trace = runs[best_index]
-    traces = {i: trace for i, (_, trace) in runs.items()}
-    return RestartOutcome(best_ansatz, best_trace, best_index, traces, failures)
+    return RestartOutcome(min(traces, key=rank), traces, failures)

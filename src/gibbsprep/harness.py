@@ -15,8 +15,10 @@ keeps sweeps that share an output directory and a run_id apart.
 Seed scheme (pinned by tests): the seed of restart ``r`` in the cell with
 inverse-temperature index ``b`` and ancilla count ``a`` is the first output
 of ``numpy.random.SeedSequence([master_seed, model_code, b, a, r])`` where
-``model_code`` is 0 for ``ising`` and 1 for ``xy``. Scheduling order can
-therefore never affect results.
+``model_code`` is 0 for ``ising`` and 1 for ``xy``. Each restart's growth
+run (``adapt.GROWTH_RUNS``) draws its start from that seed alone; for the
+layered rule see :func:`~gibbsprep.adapt.adapt_qaoa_run`. Scheduling order
+can therefore never affect results.
 
 Built once per process: what depends only on the sweep's model, ``n_data``,
 ``n_ancilla`` and algorithm family comes from one cached builder keyed on
@@ -48,6 +50,7 @@ from .adapt import (
     DEFAULT_QAOA_RESTARTS,
     DEFAULT_VQE_RESTARTS,
     ENTANGLER_LABEL,
+    GROWTH_RUNS,
     Ansatz,
     CostGate,
     MAX_QAOA_LAYERS,
@@ -55,10 +58,7 @@ from .adapt import (
     PoolOperator,
     QaoaSettings,
     VqeSettings,
-    adapt_qaoa_run,
-    adapt_vqe_run,
     ansatz_value_and_gradient,
-    baseline_qaoa_run,
     build_qaoa_pool,
     build_vqe_pool,
     reference_from_angles,
@@ -80,7 +80,7 @@ from .simcore import PauliString, StateVector, partial_trace_ancilla
 
 MODEL_BUILDERS = {"ising": ising_hamiltonian, "xy": xy_hamiltonian}
 MODEL_CODES = {"ising": 0, "xy": 1}
-ALGORITHMS = ("vqe", "qaoa", "baseline")
+ALGORITHMS = tuple(GROWTH_RUNS)
 
 DEFAULT_VQE_BETA_INV_GRID = tuple(round(0.2 * k, 1) for k in range(1, 16))
 DEFAULT_QAOA_BETA_INV_GRID = (0.2, 0.6, 1.0, 1.2, 1.6, 2.0, 2.2, 2.6, 3.0)
@@ -319,7 +319,11 @@ def _run_cell(
         epsilon=None if layered else config.epsilon,
         layer_budget=config.layer_budget if layered else None,
     )
-    exact = gibbs_state(hamiltonian, beta)
+    try:
+        exact = gibbs_state(hamiltonian, beta)
+    except ValueError as exc:
+        # At a low enough temperature exp(-beta E) underflows to 0.
+        raise NumericalFailure(f"beta_inv={beta_inv}: {exc}") from exc
     if config.truncation == "exact":
         optimization_target = exact
     else:
@@ -327,23 +331,9 @@ def _run_cell(
     ctx = ObjectiveContext(optimization_target, config.n_data, n_ancilla)
     bound = max_fidelity_bound(exact, n_ancilla)
 
-    seeds = [
-        cell_seed(config.master_seed, config.model, beta_index, n_ancilla, r)
-        for r in range(config.restarts)
-    ]
-    if not layered:
-
-        def run(index: int):
-            return adapt_vqe_run(settings, ctx, exact, seeds[index])
-
-    else:
-        runner = adapt_qaoa_run if config.algorithm == "qaoa" else baseline_qaoa_run
-
-        def run(index: int):
-            gamma0 = float(
-                np.random.default_rng(seeds[index]).uniform(0.0, np.pi / 2)
-            )
-            return runner(settings, ctx, exact, gamma0, seeds[index])
+    def run(index: int):
+        seed = cell_seed(config.master_seed, config.model, beta_index, n_ancilla, index)
+        return GROWTH_RUNS[config.algorithm](settings, ctx, exact, seed)
 
     outcome = restart_postselect(run, config.restarts)
     best = outcome.trace

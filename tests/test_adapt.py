@@ -37,6 +37,7 @@ from gibbsprep.adapt import (
     DEFAULT_QAOA_RESTARTS,
     DEFAULT_VQE_RESTARTS,
     ENTANGLER_LABEL,
+    GROWTH_RUNS,
     TIE_TOLERANCE,
     AdaptTrace,
     IterationRecord,
@@ -654,7 +655,7 @@ class TestBfgsOnAnalyticObjectives:
         result = minimize(rosenbrock, [-1.2, 1.0])
         assert result.converged
         assert np.abs(result.parameters - 1.0).max() < 1e-6
-        assert result.gradient_norm <= 1e-8
+        assert np.abs(rosenbrock(result.parameters)[1]).max() <= 1e-8
         assert 0 < result.iterations < result.evaluations
 
     def test_convex_quadratic_reaches_solution(self, minimize):
@@ -823,9 +824,7 @@ class TestAdaptQaoaRun:
         n = 2
         target = gibbs_state(ising_hamiltonian(n), 0.0)
         ctx = ObjectiveContext(target, n, n)
-        _, trace = adapt_qaoa_run(
-            qaoa_settings(n, 2), ctx, target, gamma0=0.4, seed=1
-        )
+        _, trace = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=1)
         assert all(r.fidelity >= 1 - 1e-9 for r in trace.records)
         assert abs(trace.records[0].objective - trace.final_objective) < 1e-9
 
@@ -833,16 +832,8 @@ class TestAdaptQaoaRun:
         n = 2
         target = gibbs_state(ising_hamiltonian(n), 1.0)
         ctx = ObjectiveContext(target, n, n)
-        rng = np.random.default_rng(17)
         outcome = restart_postselect(
-            lambda i: adapt_qaoa_run(
-                qaoa_settings(n, 3),
-                ctx,
-                target,
-                gamma0=float(rng.uniform(0, np.pi / 2)),
-                seed=300 + i,
-            ),
-            4,
+            lambda i: adapt_qaoa_run(qaoa_settings(n, 3), ctx, target, seed=300 + i), 4
         )
         assert outcome.trace.final_fidelity >= 0.99
 
@@ -850,9 +841,7 @@ class TestAdaptQaoaRun:
         n = 2
         target = gibbs_state(ising_hamiltonian(n), 0.5)
         ctx = ObjectiveContext(target, n, n)
-        _, trace = adapt_qaoa_run(
-            qaoa_settings(n, 3), ctx, target, gamma0=0.7, seed=2
-        )
+        _, trace = adapt_qaoa_run(qaoa_settings(n, 3), ctx, target, seed=2)
         objectives = [r.objective for r in trace.records]
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
@@ -861,7 +850,7 @@ class TestAdaptQaoaRun:
         target = gibbs_state(ising_hamiltonian(n), 0.7)
         ctx = ObjectiveContext(target, n, n)
         scans = record_scans(monkeypatch)
-        _, trace = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, gamma0=0.5, seed=3)
+        _, trace = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=3)
         assert len(scans) == len(trace.records) - 1 == 2
         for record, gradients in zip(trace.records[1:], scans):
             magnitudes = np.abs(gradients)
@@ -879,8 +868,8 @@ class TestAdaptQaoaRun:
             cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n)),
             layer_budget=2,
         )
-        adaptive, _ = adapt_qaoa_run(settings, ctx, target, gamma0=0.6, seed=4)
-        baseline, _ = baseline_qaoa_run(settings, ctx, target, gamma0=0.6, seed=4)
+        adaptive, _ = adapt_qaoa_run(settings, ctx, target, seed=4)
+        baseline, _ = baseline_qaoa_run(settings, ctx, target, seed=4)
         assert [op.label for op in adaptive.generators] == [
             op.label for op in baseline.generators
         ]
@@ -889,16 +878,18 @@ class TestAdaptQaoaRun:
         n = 2
         target = gibbs_state(ising_hamiltonian(n), 1.0)
         ctx = ObjectiveContext(target, n, n)
-        _, t1 = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, gamma0=0.9, seed=8)
-        _, t2 = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, gamma0=0.9, seed=8)
+        _, t1 = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=8)
+        _, t2 = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=8)
         assert t1.comparable_dict() == t2.comparable_dict()
 
-    def test_rejects_gamma0_out_of_range(self):
+    @pytest.mark.parametrize("flavor", ["qaoa", "baseline"])
+    def test_gamma0_is_the_seed_draw(self, flavor):
         n = 2
         target = gibbs_state(ising_hamiltonian(n), 1.0)
         ctx = ObjectiveContext(target, n, n)
-        with pytest.raises(ValueError):
-            adapt_qaoa_run(qaoa_settings(n, 1), ctx, target, gamma0=2.0, seed=1)
+        for seed in (1, 8, 2**63 + 5):
+            _, trace = GROWTH_RUNS[flavor](qaoa_settings(n, 1), ctx, target, seed)
+            assert trace.gamma0 == np.random.default_rng(seed).uniform(0.0, np.pi / 2)
 
 
 class TestBaselineRun:
@@ -906,9 +897,7 @@ class TestBaselineRun:
         n = 2
         target = gibbs_state(ising_hamiltonian(n), 0.0)
         ctx = ObjectiveContext(target, n, n)
-        _, trace = baseline_qaoa_run(
-            qaoa_settings(n, 0), ctx, target, gamma0=0.3, seed=1
-        )
+        _, trace = baseline_qaoa_run(qaoa_settings(n, 0), ctx, target, seed=1)
         assert len(trace.records) == 1
         assert trace.records[0].fidelity >= 1 - 1e-9
         assert trace.records[0].cnot_count == n
@@ -917,9 +906,7 @@ class TestBaselineRun:
         n = 4
         target = gibbs_state(ising_hamiltonian(n), 2.0)  # beta_inv = 0.5
         ctx = ObjectiveContext(target, n, n)
-        _, trace = baseline_qaoa_run(
-            qaoa_settings(n, 2), ctx, target, gamma0=0.8, seed=5
-        )
+        _, trace = baseline_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=5)
         fids = [r.fidelity for r in trace.records]
         assert all(b >= a - 1e-9 for a, b in zip(fids, fids[1:]))
 
@@ -928,15 +915,8 @@ class TestBaselineRun:
         n = 6
         target = gibbs_state(ising_hamiltonian(n), 1.0)
         ctx = ObjectiveContext(target, n, n)
-        rng = np.random.default_rng(23)
         outcome = restart_postselect(
-            lambda i: baseline_qaoa_run(
-                qaoa_settings(n, 3),
-                ctx,
-                target,
-                gamma0=float(rng.uniform(0, np.pi / 2)),
-                seed=700 + i,
-            ),
+            lambda i: baseline_qaoa_run(qaoa_settings(n, 3), ctx, target, seed=700 + i),
             4,
         )
         reached = [r for r in outcome.trace.records if r.fidelity >= 0.99]
@@ -957,7 +937,7 @@ def test_records_carry_optimizer_work(monkeypatch, flavor):
     target = gibbs_state(ising_hamiltonian(n), 1.0)
     ctx = ObjectiveContext(target, n, n)
     if flavor == "qaoa":
-        _, trace = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, gamma0=0.9, seed=8)
+        _, trace = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=8)
     else:
         settings = VqeSettings(pool=build_vqe_pool(2 * n), epsilon=1e-3)
         _, trace = adapt_vqe_run(settings, ctx, target, seed=8)
@@ -1016,8 +996,7 @@ def test_growth_runs_match_pinned_values(flavor):
         _, trace = adapt_vqe_run(settings, ctx, target, seed=3)
     else:
         ctx = ObjectiveContext(target, 2, 2)
-        run = adapt_qaoa_run if flavor == "qaoa" else baseline_qaoa_run
-        _, trace = run(qaoa_settings(2, 2), ctx, target, gamma0=0.9, seed=8)
+        _, trace = GROWTH_RUNS[flavor](qaoa_settings(2, 2), ctx, target, seed=8)
     labels, termination, records = PINNED_RUNS[flavor]
     assert trace.generator_labels == labels
     assert trace.termination == termination
@@ -1059,6 +1038,7 @@ class TestRestartPostselect:
         )
         assert outcome.restart_index == 1
         assert outcome.trace.final_objective == -0.5
+        assert outcome.trace is outcome.traces[outcome.restart_index]
         assert len(outcome.traces) == 3
 
     def test_tie_broken_by_cnots_then_order(self):

@@ -138,6 +138,22 @@ class TestSweepCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vqe-gibbs", "--n_data", "2", "--n_ancilla", "1"],
+            ["qaoa-gibbs", "--n_data", "2"],
+        ],
+    )
+    def test_underflowing_temperature_exit_code(self, argv, capsys):
+        # At beta = 200, exp(-4 beta) underflows to 0: the exact target has a
+        # zero eigenvalue, which no Gibbs state has.
+        code = main(argv + ["--beta_inv_list", "0.005", "--restarts", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "beta_inv=0.005" in err and "strictly positive" in err
+        assert len(err.splitlines()) == 1
+
     def test_failed_trace_write_exit_code(self, tiny_cfg, tmp_path, monkeypatch, capsys):
         real = Path.write_text
 

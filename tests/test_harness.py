@@ -19,7 +19,7 @@ from gibbsprep import (
     partial_trace_ancilla,
     singlet_reference_state,
 )
-from gibbsprep.adapt import ENTANGLER_LABEL, CostGate
+from gibbsprep.adapt import ENTANGLER_LABEL, GROWTH_RUNS, CostGate
 from gibbsprep.harness import (
     CSV_COLUMNS,
     CSV_SCHEMA_COMMENT,
@@ -376,16 +376,14 @@ class TestRunSweep:
     def test_trace_files_keep_their_restart_index_after_a_failure(
         self, monkeypatch, tmp_path
     ):
-        from gibbsprep import harness
-
-        real = harness.adapt_vqe_run
+        real = GROWTH_RUNS["vqe"]
 
         def first_restart_fails(settings, ctx, target, seed):
             if seed == cell_seed(7, "ising", 0, 1, 0):
                 raise NumericalFailure("injected restart failure")
             return real(settings, ctx, target, seed)
 
-        monkeypatch.setattr(harness, "adapt_vqe_run", first_restart_fails)
+        monkeypatch.setitem(GROWTH_RUNS, "vqe", first_restart_fails)
         out = tmp_path / "out"
         run_sweep(tiny_config(restarts=3, out=str(out)))
         paths = sorted((out / "traces").glob("*.json"))
@@ -395,6 +393,24 @@ class TestRunSweep:
             index = payload["restart_index"]
             assert path.name.endswith(f".r{index}.json")
             assert payload["seed"] == cell_seed(7, "ising", 0, 1, index)
+
+    def test_layered_restart_draws_gamma0_from_its_cell_seed(self, tmp_path):
+        out = tmp_path / "out"
+        run_sweep(
+            tiny_config(algorithm="qaoa", n_ancilla=(2,), layer_budget=1,
+                        restarts=2, out=str(out))
+        )
+        payloads = [
+            json.loads(path.read_text())
+            for path in sorted((out / "traces").glob("*.json"))
+        ]
+        assert [p["restart_index"] for p in payloads] == [0, 1]
+        for payload in payloads:
+            seed = cell_seed(7, "ising", 0, 2, payload["restart_index"])
+            assert payload["seed"] == seed
+            assert payload["gamma0"] == np.random.default_rng(seed).uniform(
+                0.0, np.pi / 2
+            )
 
     def test_failed_trace_write_leaves_no_row(self, monkeypatch, tmp_path):
         real = Path.write_text
