@@ -53,8 +53,6 @@ from .simcore import (
     partial_trace_ancilla,
     partial_trace_ancilla_raw,
     pauli_action_tables,
-    pauli_apply_raw,
-    pauli_rotation,
     to_bell_raw,
 )
 
@@ -190,8 +188,8 @@ class CostGate:
 
     With ``H = W diag(w) W^dagger`` on the data register, the generator is
     diagonal in the frame ``W (x) W`` with energies ``(w_a + w_d)/2`` over the
-    ``[ancilla, data]`` amplitude block. A diagonal ``H`` needs no frame: its
-    diagonal is ``w``, read without building ``H``'s matrix.
+    ``[ancilla, data]`` amplitude block. A diagonal ``H`` needs no frame, and
+    so no ``eigh``: its diagonal is ``w``.
     """
 
     hamiltonian: HermitianOperator  # H on the data register
@@ -320,20 +318,22 @@ def reference_from_angles(
 ) -> StateVector:
     """One y-rotation per qubit, then a CNOT from each ancilla to each data qubit.
 
-    ``angles[q]`` drives ``exp(-i angles[q] Y_q)``. The CNOTs (ancilla
-    control, data target) all commute, and together they flip every data
-    bit iff the ancilla bits have odd parity: one gather.
+    ``angles[q]`` drives ``exp(-i angles[q] Y_q)``, which takes ``|0>`` to
+    ``cos(angles[q])|0> + sin(angles[q])|1>``: the rotated register is one
+    product state, built qubit by qubit with qubit q as bit q. The CNOTs
+    (ancilla control, data target) all commute, and together they flip every
+    data bit iff the ancilla bits have odd parity: one gather.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (n_data + n_ancilla,):
         raise ValueError("need one angle per qubit")
-    state = StateVector.computational_basis(n_data, n_ancilla)
-    for q, alpha in enumerate(angles):
-        state = pauli_rotation(state, PauliString((q,), "Y"), -float(alpha))
-    index = np.arange(1 << (n_data + n_ancilla))
+    amps = np.ones(1)
+    for alpha in angles:
+        amps = np.kron([np.cos(alpha), np.sin(alpha)], amps)
+    index = np.arange(amps.size)
     odd = np.bitwise_count((index >> n_data).astype(np.uint64)) & 1
     flip = np.where(odd, (1 << n_data) - 1, 0)
-    return state.with_amplitudes(state.amplitudes[index ^ flip])
+    return StateVector(n_data, n_ancilla, amps[index ^ flip])
 
 
 def vqe_reference_state(
@@ -466,14 +466,16 @@ def _apply_gate(
     """``exp(i theta G) amps`` for one gate, as ``(out, moved, aux)``.
 
     A Pauli word gives ``cos(theta) amps + i sin(theta) moved`` with
-    ``moved = P amps`` and ``aux`` the word's gather tables. A frame phase
-    gives ``F^dagger moved`` with ``moved = phase * F amps`` and ``aux`` the
-    ``phase = exp(i theta values)[index]``.
+    ``moved = P amps = phase * amps[source]`` and ``aux`` the word's gather
+    tables ``(source, phase)``. A frame phase gives ``F^dagger moved`` with
+    ``moved = phase * F amps`` and ``aux`` the ``phase = exp(i theta
+    values)[index]``.
     """
     if gate.kind == "pauli":
         word = gate.pauli
         tables = pauli_action_tables(n_qubits, word.support, word.letters)
-        moved = pauli_apply_raw(amps, *tables)
+        source, phase = tables
+        moved = phase * amps[source]
         return np.cos(theta) * amps + (1j * np.sin(theta)) * moved, moved, tables
     _, values, index = gate.spectrum
     phase = np.exp(1j * theta * values)[index]
@@ -534,7 +536,8 @@ def ansatz_value_and_gradient(
         gate, theta = gates[k], thetas[k]
         moved, aux = tape[k]
         if gate.kind == "pauli":
-            moved_lam = pauli_apply_raw(lam, *aux)
+            source, phase = aux
+            moved_lam = phase * lam[source]
             lam = np.cos(theta) * lam - (1j * np.sin(theta)) * moved_lam
             grad[k] = -2.0 * np.vdot(lam, moved).imag
         else:
@@ -705,13 +708,6 @@ class AdaptTrace:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def comparable_dict(self) -> dict:
-        """Trace content with wall-clock timing stripped (for determinism checks)."""
-        d = self.to_dict()
-        for r in d["records"]:
-            r.pop("wall_ms")
-        return d
-
 
 def cnot_count(ansatz: Ansatz) -> int:
     """Two-qubit gate count of the circuit under the documented convention.
@@ -739,8 +735,8 @@ class VqeSettings(_PoolSettings):
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -100,26 +100,30 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     model: str = "ising"
     n_data: int = 4
-    n_ancilla: tuple[int, ...] = ()
-    beta_inv_list: tuple[float, ...] = ()
+    n_ancilla: tuple[int, ...] | None = None
+    beta_inv_list: tuple[float, ...] | None = None
     algorithm: str = "vqe"
     epsilon: float = 1e-3
     layer_budget: int = 4
     truncation: str | int = "exact"
-    restarts: int = 0
+    restarts: int | None = None
     master_seed: int = 1234
     workers: int = 1
     out: str | None = None
 
     def __post_init__(self):
-        """Fill the algorithm-dependent defaults, then validate (on ``replace`` too)."""
+        """Fill the algorithm-dependent defaults, then validate (on ``replace`` too).
+
+        Only None means "not given": an explicit ``0`` or empty tuple is
+        validated, and refused, like any other value.
+        """
         vqe = self.algorithm == "vqe"
-        if not self.n_ancilla:
+        if self.n_ancilla is None:
             object.__setattr__(self, "n_ancilla", (self.n_data,))
-        if not self.beta_inv_list:
+        if self.beta_inv_list is None:
             grid = DEFAULT_VQE_BETA_INV_GRID if vqe else DEFAULT_QAOA_BETA_INV_GRID
             object.__setattr__(self, "beta_inv_list", grid)
-        if self.restarts == 0:
+        if self.restarts is None:
             restarts = DEFAULT_VQE_RESTARTS if vqe else DEFAULT_QAOA_RESTARTS
             object.__setattr__(self, "restarts", restarts)
         self.validate()
@@ -132,7 +136,7 @@ class ExperimentConfig:
         if self.n_data < 2:
             raise ConfigError("n_data must be >= 2")
         if not self.n_ancilla or any(a < 1 for a in self.n_ancilla):
-            raise ConfigError("n_ancilla entries must be >= 1")
+            raise ConfigError("n_ancilla must be nonempty with entries >= 1")
         if len(set(self.n_ancilla)) != len(self.n_ancilla):
             # Their cells would share run_ids and overwrite each other's traces.
             raise ConfigError(f"n_ancilla has repeated entries: {self.n_ancilla}")
@@ -140,8 +144,8 @@ class ExperimentConfig:
             not (b > 0 and np.isfinite(b)) for b in self.beta_inv_list
         ):
             raise ConfigError("beta_inv_list must be nonempty with positive entries")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 <= self.layer_budget <= MAX_QAOA_LAYERS:
             raise ConfigError(f"layer_budget must be in [0, {MAX_QAOA_LAYERS}]")
         if isinstance(self.truncation, int) and self.truncation < 0:
@@ -150,6 +154,8 @@ class ExperimentConfig:
             raise ConfigError(f"truncation must be 'exact' or an integer")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.algorithm in ("qaoa", "baseline"):
@@ -271,12 +277,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
 _COLUMN_TYPES = get_type_hints(ResultRecord)
 
 
-@dataclass
-class CellResult:
-    record: ResultRecord
-    trace_dicts: list[dict]
-
-
 @functools.cache
 def _sweep_invariants(
     model: str,
@@ -305,8 +305,11 @@ def _sweep_invariants(
 
 def _run_cell(
     config: ExperimentConfig, beta_index: int, n_ancilla: int
-) -> CellResult:
-    """Run all restarts of one (beta_inv, n_ancilla) cell and postselect."""
+) -> tuple[ResultRecord, list[dict]]:
+    """Run all restarts of one (beta_inv, n_ancilla) cell and postselect.
+
+    Returns the cell's row and the trace payload of every restart that ran.
+    """
     started = time.perf_counter()
     beta_inv = config.beta_inv_list[beta_index]
     beta = 1.0 / beta_inv
@@ -370,10 +373,11 @@ def _run_cell(
         payload["truncation"] = str(config.truncation)
         payload["postselected"] = trace is outcome.trace
         trace_dicts.append(payload)
-    return CellResult(record=record, trace_dicts=trace_dicts)
+    return record, trace_dicts
 
 
-def _cell_job(args: tuple) -> CellResult:
+def _cell_job(args: tuple) -> tuple[ResultRecord, list[dict]]:
+    # One argument tuple per cell for map; _run_cell is looked up at call time.
     return _run_cell(*args)
 
 
@@ -428,19 +432,19 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
 
             executor = ProcessPoolExecutor(max_workers=workers)
             results = executor.map(_cell_job, cells)
-        for cell in results:
-            records.append(cell.record)
+        for record, trace_dicts in results:
+            records.append(record)
             if writer is None:
                 continue
             # Traces first: a row on disk always has its traces.
             try:
-                for payload in cell.trace_dicts:
+                for payload in trace_dicts:
                     trace_path = out_dir / "traces" / (
                         f"{payload['run_id']}.{payload['config_hash']}"
                         f".r{payload['restart_index']}.json"
                     )
                     trace_path.write_text(json.dumps(payload, indent=1))
-                writer.write(cell.record.to_csv_row() + "\n")
+                writer.write(record.to_csv_row() + "\n")
                 writer.flush()
             except OSError as exc:
                 raise ConfigError(f"cannot write to output path {out_dir}: {exc}")
@@ -506,9 +510,6 @@ class GradcheckTrial:
 
 @dataclass
 class GradcheckReport:
-    trials: int
-    threshold: float
-    engine_threshold: float
     max_deviation: float
     max_engine_deviation: float
     entries: list[GradcheckTrial]
@@ -516,8 +517,8 @@ class GradcheckReport:
 
     def lines(self) -> list[str]:
         out = [
-            f"gradcheck: {self.trials} trials, threshold {self.threshold:g}"
-            f" (shift vs fd), {self.engine_threshold:g} (adjoint vs shift)",
+            f"gradcheck: {len(self.entries)} trials, threshold {GRADCHECK_THRESHOLD:g}"
+            f" (shift vs fd), {GRADCHECK_ENGINE_THRESHOLD:g} (adjoint vs shift)",
         ]
         for e in self.entries:
             out.append(
@@ -545,6 +546,8 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     pool = build_vqe_pool(4)
     qaoa_pool = build_qaoa_pool(2, entangling_hamiltonian(2))
     entries: list[GradcheckTrial] = []
@@ -611,9 +614,6 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
     max_deviation = max(e.deviation for e in entries)
     max_engine_deviation = max(e.engine_deviation for e in entries)
     return GradcheckReport(
-        trials=trials,
-        threshold=GRADCHECK_THRESHOLD,
-        engine_threshold=GRADCHECK_ENGINE_THRESHOLD,
         max_deviation=max_deviation,
         max_engine_deviation=max_engine_deviation,
         entries=entries,

@@ -155,16 +155,10 @@ def from_bell_raw(amplitudes: np.ndarray, n_pairs: int) -> np.ndarray:
     return (h @ block).view(np.complex128).reshape(-1)[cnot]
 
 
-def pauli_apply_raw(amplitudes: np.ndarray, source: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """P @ amplitudes for a raw amplitude vector."""
-    return phase * amplitudes[source]
-
-
 def pauli_rotate_raw(amplitudes, source, phase, theta):
     """exp(i theta P) @ amplitudes = cos(theta)*psi + i sin(theta)*(P psi)."""
-    return np.cos(theta) * amplitudes + (1j * np.sin(theta)) * pauli_apply_raw(
-        amplitudes, source, phase
-    )
+    moved = phase * amplitudes[source]
+    return np.cos(theta) * amplitudes + (1j * np.sin(theta)) * moved
 
 
 @dataclass(frozen=True)
@@ -193,14 +187,6 @@ class StateVector:
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(self.n_data, self.n_ancilla, amplitudes)
-
-    @classmethod
-    def computational_basis(
-        cls, n_data: int, n_ancilla: int, index: int = 0
-    ) -> "StateVector":
-        amps = np.zeros(1 << (n_data + n_ancilla), dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(n_data, n_ancilla, amps)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,13 @@ def dense_exponential(matrix, t):
     return (vectors * np.exp(1j * t * values)) @ vectors.conj().T
 
 
+def basis_state(n_data, n_ancilla, index=0):
+    """The computational basis state ``|index>`` on the joint register."""
+    amps = np.zeros(1 << (n_data + n_ancilla), dtype=complex)
+    amps[index] = 1.0
+    return StateVector(n_data, n_ancilla, amps)
+
+
 def random_state(n_data, n_ancilla, rng):
     dim = 1 << (n_data + n_ancilla)
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -59,6 +66,16 @@ def random_state(n_data, n_ancilla, rng):
 def purity(rho):
     """Tr(rho^2) of a DensityMatrix, as the trace of the matrix product."""
     return float(np.trace(rho.entries @ rho.entries).real)
+
+
+def without_wall_ms(trace):
+    """A trace dict with each record's ``wall_ms`` dropped.
+
+    Takes ``AdaptTrace.to_dict()`` or a persisted trace payload; what is left
+    is a function of the seed alone, so determinism checks compare it.
+    """
+    records = [{k: v for k, v in r.items() if k != "wall_ms"} for r in trace["records"]]
+    return {**trace, "records": records}
 
 
 def central_difference(prepare, params, ctx, h=1e-5):

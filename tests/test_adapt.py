@@ -10,7 +10,6 @@ from gibbsprep import (
     NumericalFailure,
     ObjectiveContext,
     PauliString,
-    StateVector,
     build_qaoa_pool,
     build_vqe_pool,
     adapt_qaoa_run,
@@ -50,6 +49,7 @@ from gibbsprep.adapt import (
 )
 
 from conftest import (
+    basis_state,
     candidate_gradient,
     central_difference,
     dense_exponential,
@@ -57,6 +57,7 @@ from conftest import (
     dense_pauli,
     purity,
     random_state,
+    without_wall_ms,
 )
 
 
@@ -156,6 +157,29 @@ class TestReferenceStates:
         state = reference_from_angles(n_data, n_ancilla, angles)
         assert np.abs(state.amplitudes - psi).max() <= 1e-14
 
+    @pytest.mark.parametrize(
+        "n_data, n_ancilla", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2), (5, 5)]
+    )
+    def test_product_reference_equals_rotation_sequence_bitwise(
+        self, n_data, n_ancilla, rng
+    ):
+        # One Y rotation per qubit by pauli_rotation, then the CNOTs gathered one
+        # index at a time: the product form reproduces these bits, not only 1e-14.
+        n = n_data + n_ancilla
+        mask = (1 << n_data) - 1
+        for _ in range(20):
+            angles = rng.uniform(0, 2 * np.pi, n)
+            state = basis_state(n_data, n_ancilla)
+            for q, alpha in enumerate(angles):
+                state = pauli_rotation(state, PauliString((q,), "Y"), -float(alpha))
+            rotated = state.amplitudes
+            expected = [
+                rotated[i ^ mask if bin(i >> n_data).count("1") % 2 else i]
+                for i in range(1 << n)
+            ]
+            state = reference_from_angles(n_data, n_ancilla, angles)
+            assert np.array_equal(state.amplitudes, expected)
+
     def test_singlet_energy(self):
         for n in (1, 2, 3):
             state = singlet_reference_state(n)
@@ -238,7 +262,7 @@ class TestAnsatzGradients:
                 flavor="vqe",
                 n_data=3,
                 n_ancilla=1,
-                reference=StateVector.computational_basis(2, 2),
+                reference=basis_state(2, 2),
                 reference_spec={"kind": "basis"},
             )
 
@@ -349,8 +373,8 @@ class TestCostLayer:
         generator = dense_operator(ansatz.cost_operator) / 2
         assert np.abs(np.sort(energies) - np.linalg.eigvalsh(generator)).max() <= 1e-13
 
-    def test_diagonal_cost_builds_no_matrix(self, rng):
-        """A diagonal ``H`` gets the identity frame: no matrix, no ``eigh``."""
+    def test_diagonal_cost_builds_no_eigensystem(self, rng):
+        """A diagonal ``H`` gets the identity frame: no ``eigh``."""
         n = 3
         h_data = ising_hamiltonian(n)
         ctx = ObjectiveContext(gibbs_state(h_data, 0.7), n, n)
@@ -360,7 +384,7 @@ class TestCostLayer:
         ansatz_value_and_gradient(ansatz, params, ctx)
         # The gate is shared per H, so the H it holds is the one that matters.
         built = ansatz.cost_gate.hamiltonian.__dict__.keys()
-        assert not {"matrix", "eigensystem"} & built
+        assert "eigensystem" not in built
 
     def test_equal_hamiltonians_share_one_cost_gate(self):
         n = 2
@@ -388,7 +412,7 @@ class TestCostLayer:
                     flavor="qaoa",
                     n_data=n,
                     n_ancilla=n_ancilla,
-                    reference=StateVector.computational_basis(n, n_ancilla),
+                    reference=basis_state(n, n_ancilla),
                     reference_spec={"kind": "basis"},
                     cost_operator=cost,
                 )
@@ -738,6 +762,11 @@ class TestAdaptVqeRun:
         assert trace.termination == "threshold"
         assert len(trace.records) == 1
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_settings_refuse_epsilon_outside_positive_reals(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            VqeSettings(pool=build_vqe_pool(2), epsilon=epsilon)
+
     def test_small_ising_reaches_high_fidelity(self):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
         settings = VqeSettings(pool=build_vqe_pool(4), epsilon=1e-3)
@@ -798,7 +827,7 @@ class TestAdaptVqeRun:
         settings = VqeSettings(pool=build_vqe_pool(3), epsilon=1e-3)
         _, t1 = adapt_vqe_run(settings, ctx, ctx.target, seed=11)
         _, t2 = adapt_vqe_run(settings, ctx, ctx.target, seed=11)
-        assert t1.comparable_dict() == t2.comparable_dict()
+        assert without_wall_ms(t1.to_dict()) == without_wall_ms(t2.to_dict())
 
     def test_stalls_when_threshold_unreachable(self, monkeypatch):
         monkeypatch.setattr(adapt, "MAX_VQE_ITERATIONS", 60)
@@ -880,7 +909,7 @@ class TestAdaptQaoaRun:
         ctx = ObjectiveContext(target, n, n)
         _, t1 = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=8)
         _, t2 = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=8)
-        assert t1.comparable_dict() == t2.comparable_dict()
+        assert without_wall_ms(t1.to_dict()) == without_wall_ms(t2.to_dict())
 
     @pytest.mark.parametrize("flavor", ["qaoa", "baseline"])
     def test_gamma0_is_the_seed_draw(self, flavor):
@@ -957,7 +986,7 @@ def test_records_carry_optimizer_work(monkeypatch, flavor):
         "optimizer_evaluations",
         "optimizer_converged",
     ]
-    stripped = trace.comparable_dict()["records"][1]
+    stripped = without_wall_ms(trace.to_dict())["records"][1]
     assert set(record) - set(stripped) == {"wall_ms"}
 
 

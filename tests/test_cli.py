@@ -119,6 +119,33 @@ class TestSweepCommands:
         assert "repeated" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["--master_seed", "-1"], "master_seed"),
+            (["--epsilon", "nan"], "epsilon"),
+            (["--epsilon", "inf"], "epsilon"),
+            (["--restarts", "0"], "restarts"),
+            (["--n_ancilla", ","], "n_ancilla"),
+            (["--beta_inv_list", ","], "beta_inv_list"),
+        ],
+    )
+    def test_out_of_range_value_exit_code(self, overrides, key, tmp_path, capsys):
+        # An explicit 0 or empty list is refused, not read as "use the default".
+        out = tmp_path / "out"
+        argv = ["vqe-gibbs", "--n_data", "2", "--n_ancilla", "1", "--beta_inv_list",
+                "1.0", "--restarts", "1", "--master_seed", "1234", "--out", str(out)]
+        assert main(argv + overrides) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_zero_restarts_in_config_file_exit_code(self, tiny_cfg, capsys):
+        tiny_cfg.write_text(tiny_cfg.read_text().replace("restarts = 1", "restarts = 0"))
+        assert main(["vqe-gibbs", "--config", str(tiny_cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "restarts" in err and len(err.splitlines()) == 1
+
     def test_cached_parser_keeps_each_commands_algorithm(self):
         from gibbsprep.cli import _build_parser
 
@@ -216,6 +243,11 @@ class TestGradcheckCommand:
 
     def test_rejects_bad_trials(self, capsys):
         assert main(["gradcheck", "--trials", "0"]) == 2
+
+    def test_rejects_negative_seed(self, capsys):
+        assert main(["gradcheck", "--seed", "-1", "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and len(err.splitlines()) == 1
 
 
 class TestPlotdataCommand:

@@ -39,6 +39,8 @@ from gibbsprep.harness import (
     run_sweep,
 )
 
+from conftest import without_wall_ms
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -502,12 +504,10 @@ class TestProcessCaches:
                 line.rsplit(",", 1)[0]  # drop wall_ms
                 for line in (out / "results.csv").read_text().splitlines()
             ]
-            traces = {}
-            for path in sorted((out / "traces").glob("*.json")):
-                payload = json.loads(path.read_text())
-                for record in payload["records"]:  # as AdaptTrace.comparable_dict
-                    record.pop("wall_ms")
-                traces[path.name] = payload
+            traces = {
+                path.name: without_wall_ms(json.loads(path.read_text()))
+                for path in sorted((out / "traces").glob("*.json"))
+            }
             return rows, traces
 
         cold_rows, cold_traces = run_all(tmp_path / "cold")

@@ -29,6 +29,7 @@ from gibbsprep import (
 )
 from gibbsprep.adapt import CostGate
 from conftest import (
+    basis_state,
     candidate_gradient,
     central_difference,
     dense_exponential,
@@ -163,7 +164,7 @@ class TestShiftGradient:
 
     def test_phase_only_parameter_has_zero_gradient(self):
         ctx = make_ctx()
-        reference = StateVector.computational_basis(2, 2, index=0b0101)
+        reference = basis_state(2, 2, index=0b0101)
         ansatz = pauli_chain(reference, [PauliString((3,), "Z")])
         grad = shift_rule_gradient(ansatz, np.array([0.4]), ctx)
         assert abs(grad[0]) < 1e-14

@@ -12,9 +12,10 @@ from gibbsprep import (
     partial_trace_ancilla,
     pauli_rotation,
 )
-from gibbsprep.simcore import pauli_action_tables, pauli_apply_raw
+from gibbsprep.simcore import pauli_action_tables
 
 from conftest import (
+    basis_state,
     dense_exponential,
     dense_operator,
     dense_pauli,
@@ -33,7 +34,7 @@ def random_pauli(n_qubits, rng, max_weight=2):
 def apply_pauli(state, p):
     """``P |psi>`` from the package's gather tables, as raw amplitudes."""
     source, phase = pauli_action_tables(state.n_total, p.support, p.letters)
-    return pauli_apply_raw(state.amplitudes, source, phase)
+    return phase * state.amplitudes[source]
 
 
 class TestPauliString:
@@ -74,26 +75,26 @@ class TestPauliString:
 
 class TestApplyPauli:
     def test_z_on_zero(self):
-        state = StateVector.computational_basis(1, 1)
+        state = basis_state(1, 1)
         out = apply_pauli(state, PauliString((0,), "Z"))
         assert np.allclose(out, state.amplitudes)
 
     def test_x_flips(self):
-        state = StateVector.computational_basis(1, 1)
+        state = basis_state(1, 1)
         out = apply_pauli(state, PauliString((0,), "X"))
         expected = np.zeros(4, dtype=complex)
         expected[1] = 1.0
         assert np.allclose(out, expected)
 
     def test_xy_on_00(self):
-        state = StateVector.computational_basis(2, 0)
+        state = basis_state(2, 0)
         out = apply_pauli(state, PauliString((0, 1), "XY"))
         expected = np.zeros(4, dtype=complex)
         expected[3] = 1j  # X|0> = |1>, Y|0> = i|1>
         assert np.allclose(out, expected)
 
     def test_out_of_range(self):
-        state = StateVector.computational_basis(1, 1)
+        state = basis_state(1, 1)
         with pytest.raises(IndexError):
             apply_pauli(state, PauliString((2,), "X"))
 
