@@ -9,10 +9,10 @@ One ADAPT-VQE restart on a two-site Ising chain at beta = 1 with one
 ancilla qubit, grown until the pool-gradient norm drops below ``epsilon``:
 
 >>> from gibbsprep import (ObjectiveContext, VqeSettings, adapt_vqe_run,
-...     build_vqe_pool, gibbs_state, ising_hamiltonian, max_fidelity_bound)
+...     gibbs_state, ising_hamiltonian, max_fidelity_bound)
 >>> target = gibbs_state(ising_hamiltonian(2), beta=1.0)
 >>> ctx = ObjectiveContext(target, n_data=2, n_ancilla=1)
->>> settings = VqeSettings(pool=build_vqe_pool(3), epsilon=1e-3)
+>>> settings = VqeSettings(epsilon=1e-3)
 >>> ansatz, trace = adapt_vqe_run(settings, ctx, target, seed=7)
 >>> trace.termination, len(ansatz.generators)
 ('threshold', 2)

@@ -43,7 +43,12 @@ from typing import Callable
 
 import numpy as np
 
-from .models import GibbsTarget, HermitianOperator, joint_problem_hamiltonian
+from .models import (
+    GibbsTarget,
+    HermitianOperator,
+    entangling_hamiltonian,
+    joint_problem_hamiltonian,
+)
 from .objective import ObjectiveContext, objective, objective_raw
 from .simcore import (
     PauliString,
@@ -311,6 +316,21 @@ def build_qaoa_pool(
     pool = [PoolOperator.from_pauli(p) for p in sorted(words)]
     pool.append(PoolOperator.from_entangler(entangler, n_data))
     return tuple(pool)
+
+
+@lru_cache(maxsize=None)
+def _register_pool(
+    n_data: int, n_ancilla: int, layered: bool
+) -> tuple[PoolOperator, ...]:
+    """The pool a growth run on the register scans, built once per process.
+
+    ``vqe`` scans every weight-1/2 word on the joint register; ``qaoa`` the
+    data-ancilla words and then the pair entangler, which is every layer of
+    ``baseline``.
+    """
+    if layered:
+        return build_qaoa_pool(n_data, entangling_hamiltonian(n_data))
+    return build_vqe_pool(n_data + n_ancilla)
 
 
 def reference_from_angles(
@@ -721,17 +741,10 @@ def cnot_count(ansatz: Ansatz) -> int:
     return reference + sum(gate.cnot_cost for gate in ansatz.gates)
 
 
-class _PoolSettings:
-    """Keeps the pool's :func:`_terms_by_support` with the settings that own it."""
-
-    @cached_property
-    def pool_groups(self):
-        return _terms_by_support(self.pool)
-
-
 @dataclass(frozen=True)
-class VqeSettings(_PoolSettings):
-    pool: tuple[PoolOperator, ...]
+class VqeSettings:
+    """What an ADAPT-VQE run chooses: the pool-gradient threshold ``epsilon``."""
+
     epsilon: float
 
     def __post_init__(self):
@@ -740,8 +753,9 @@ class VqeSettings(_PoolSettings):
 
 
 @dataclass(frozen=True)
-class QaoaSettings(_PoolSettings):
-    pool: tuple[PoolOperator, ...]
+class QaoaSettings:
+    """What a layered run chooses: the mirrored cost and the number of layers."""
+
     cost_operator: HermitianOperator
     layer_budget: int
 
@@ -769,7 +783,7 @@ def _terms_by_support(pool: tuple[PoolOperator, ...]):
     own support (highest qubit the most significant bit, as in
     :func:`_marginal`), so ``weights @ M.ravel()`` gives every
     ``c_i Tr(P_i M)``; ``rows`` holds the pool index of every term, group
-    after group. The settings that own a pool keep it as ``pool_groups``.
+    after group. A register's pool keeps its groups in :func:`_register_groups`.
     """
     by_support: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
     for j, op in enumerate(pool):
@@ -781,10 +795,16 @@ def _terms_by_support(pool: tuple[PoolOperator, ...]):
         (support, np.array([w for _, w in terms]))
         for support, terms in by_support.items()
     )
-    # Read-only: one process-wide settings object shares them across sweeps.
+    # Read-only: one process-wide cache entry shares them across sweeps.
     for array in (rows, *(weights for _, weights in groups)):
         array.setflags(write=False)
     return rows, groups
+
+
+@lru_cache(maxsize=None)
+def _register_groups(n_data: int, n_ancilla: int, layered: bool):
+    """:func:`_terms_by_support` of :func:`_register_pool`, built at the first scan."""
+    return _terms_by_support(_register_pool(n_data, n_ancilla, layered))
 
 
 def _marginal(
@@ -856,13 +876,9 @@ class _Growth:
     """
 
     def __init__(
-        self,
-        ansatz: Ansatz,
-        settings: VqeSettings | QaoaSettings,
-        ctx: ObjectiveContext,
-        fidelity_target: GibbsTarget,
+        self, ansatz: Ansatz, ctx: ObjectiveContext, fidelity_target: GibbsTarget
     ):
-        self.ansatz, self.settings, self.ctx = ansatz, settings, ctx
+        self.ansatz, self.ctx = ansatz, ctx
         self.target_dm = fidelity_target.as_density_matrix()
         self.pool_norm: float | None = None
         t0 = time.perf_counter()
@@ -879,8 +895,10 @@ class _Growth:
 
         The pool-gradient norm is kept as ``pool_norm``.
         """
-        pool = self.settings.pool
-        gradients = _pool_scan(state, pool, self.ctx, self.settings.pool_groups)
+        ansatz = self.ansatz
+        register = (ansatz.n_data, ansatz.n_ancilla, ansatz.flavor != "vqe")
+        pool = _register_pool(*register)
+        gradients = _pool_scan(state, pool, self.ctx, _register_groups(*register))
         self.pool_norm = float(np.linalg.norm(gradients))
         best = _argmax_with_ties(gradients)
         return pool[best], float(gradients[best])
@@ -965,7 +983,7 @@ def adapt_vqe_run(
         reference=reference,
         reference_spec={"kind": "random_y", "angles": [float(a) for a in angles]},
     )
-    growth = _Growth(ansatz, settings, ctx, fidelity_target)
+    growth = _Growth(ansatz, ctx, fidelity_target)
     termination = "max_iters"
     stall_count = 0
     for _ in range(MAX_VQE_ITERATIONS):
@@ -1003,10 +1021,8 @@ def _grow_layered_ansatz(
         cost_operator=settings.cost_operator,
     )
     select = flavor == "qaoa"
-    entangler = settings.pool[-1]
-    if not select and entangler.kind != "sum_entangler":
-        raise ValueError("baseline runs need the entangler in the pool")
-    growth = _Growth(ansatz, settings, ctx, fidelity_target)
+    entangler = _register_pool(ctx.n_data, ctx.n_ancilla, True)[-1]
+    growth = _Growth(ansatz, ctx, fidelity_target)
     for _ in range(settings.layer_budget):
         t0 = time.perf_counter()
         chosen, gradient = entangler, None

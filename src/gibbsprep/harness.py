@@ -20,16 +20,12 @@ run (``adapt.GROWTH_RUNS``) draws its start from that seed alone; for the
 layered rule see :func:`~gibbsprep.adapt.adapt_qaoa_run`. Scheduling order
 can therefore never affect results.
 
-Built once per process: what depends only on the sweep's model, ``n_data``,
-``n_ancilla`` and algorithm family comes from one cached builder keyed on
-those plain config values, plus ``epsilon`` (``vqe``) or ``layer_budget``
-(``qaoa`` and ``baseline``, which share one entry). That is the model
-Hamiltonian with its eigensystem, and the settings with the pool, the pool's
-support groups, the cost operator and the entangler's spectrum. A layered
-ansatz's cost gate is shared per cost operator, and a target builds its
-density matrix and that matrix's square root once. A cell builds only what
-depends on its temperature and seeds: the targets, the objective context and
-each restart's run.
+Built once per process: here, the model Hamiltonian with its eigensystem,
+per model and ``n_data``; in ``adapt``, the pool a register scans with its
+support groups and the entangler's spectrum, per register, and a layered
+ansatz's cost gate, per cost operator. A target builds its density matrix
+and that matrix's square root once. A cell builds the rest: its settings
+from the config, its targets, the objective context and each restart's run.
 """
 
 from __future__ import annotations
@@ -190,10 +186,18 @@ _CONFIG_PARSERS = {
 }
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; a file that cannot be read as UTF-8 is a ConfigError."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def parse_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` text; '#' lines are comments, lists are comma-separated."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(Path(path)).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -278,29 +282,9 @@ _COLUMN_TYPES = get_type_hints(ResultRecord)
 
 
 @functools.cache
-def _sweep_invariants(
-    model: str,
-    n_data: int,
-    n_ancilla: int,
-    layered: bool,
-    epsilon: float | None,
-    layer_budget: int | None,
-) -> tuple[HermitianOperator, VqeSettings | QaoaSettings]:
-    """The model Hamiltonian and the family's settings, built once per process.
-
-    ``epsilon`` keys the ``vqe`` family and ``layer_budget`` the layered one;
-    the other is None, so ``qaoa`` and ``baseline`` sweeps share one entry.
-    """
-    hamiltonian = MODEL_BUILDERS[model](n_data)
-    if not layered:
-        return hamiltonian, VqeSettings(
-            pool=build_vqe_pool(n_data + n_ancilla), epsilon=epsilon
-        )
-    return hamiltonian, QaoaSettings(
-        pool=build_qaoa_pool(n_data, entangling_hamiltonian(n_data)),
-        cost_operator=joint_problem_hamiltonian(hamiltonian),
-        layer_budget=layer_budget,
-    )
+def _model_hamiltonian(model: str, n_data: int) -> HermitianOperator:
+    """The model Hamiltonian, built once per process with its eigensystem."""
+    return MODEL_BUILDERS[model](n_data)
 
 
 def _run_cell(
@@ -313,15 +297,12 @@ def _run_cell(
     started = time.perf_counter()
     beta_inv = config.beta_inv_list[beta_index]
     beta = 1.0 / beta_inv
-    layered = config.algorithm != "vqe"
-    hamiltonian, settings = _sweep_invariants(
-        config.model,
-        config.n_data,
-        n_ancilla,
-        layered,
-        epsilon=None if layered else config.epsilon,
-        layer_budget=config.layer_budget if layered else None,
-    )
+    hamiltonian = _model_hamiltonian(config.model, config.n_data)
+    if config.algorithm == "vqe":
+        settings = VqeSettings(config.epsilon)
+    else:
+        cost = joint_problem_hamiltonian(hamiltonian)
+        settings = QaoaSettings(cost, config.layer_budget)
     try:
         exact = gibbs_state(hamiltonian, beta)
     except ValueError as exc:
@@ -631,24 +612,38 @@ CONVERGED_FIDELITY = 0.99
 
 
 def _read_csv(csv_path: Path) -> list[dict]:
-    if not csv_path.exists():
-        raise ConfigError(f"no such CSV: {csv_path}")
+    """The data rows, each value parsed by its column's type.
+
+    A row whose field count differs from the header's, or with a value its
+    column's type cannot parse, is a ConfigError naming the file and line.
+    """
     lines = [
-        line
-        for line in csv_path.read_text().splitlines()
+        (lineno, line)
+        for lineno, line in enumerate(_read_text(csv_path).splitlines(), 1)
         if line.strip() and not line.startswith("#")
     ]
     if not lines:
         raise ConfigError(f"{csv_path} has no header row")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{csv_path} is missing columns: {missing}")
     rows = []
-    for line in lines[1:]:
-        row = dict(zip(header, line.split(",")))
+    for lineno, line in lines[1:]:
+        values = line.split(",")
+        if len(values) != len(header):
+            raise ConfigError(
+                f"{csv_path}:{lineno}: {len(values)} fields, the header has "
+                f"{len(header)}"
+            )
+        row = dict(zip(header, values))
         for column in CSV_COLUMNS:
-            row[column] = _COLUMN_TYPES[column](row[column])
+            try:
+                row[column] = _COLUMN_TYPES[column](row[column])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{csv_path}:{lineno}: bad {column} value {row[column]!r}"
+                ) from exc
         row["algorithm"] = row["run_id"].split("_", 1)[0]
         rows.append(row)
     if not rows:
@@ -807,7 +802,9 @@ def emit_plot_data(
     The panel's whole table is computed before ``out_dir`` is made, so a
     panel that fails (no matching rows, a missing trace, a file name two
     rows share, fig1/fig3 rows of one model at two ``n_data``) writes
-    nothing. Returns the written paths in write order.
+    nothing. A malformed or unreadable input, or an output path that cannot
+    be written, is a :class:`ConfigError` naming the file. Returns the
+    written paths in write order.
     """
     csv_path = Path(csv_path)
     rows = _read_csv(csv_path)
@@ -816,11 +813,14 @@ def emit_plot_data(
         raise ConfigError(f"unknown panel {panel!r}; expected one of {expected}")
     table = _PANELS[panel](rows, csv_path.parent / "traces")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return [
-        _write_series(out_dir / name, header, series)
-        for name, (header, series) in table.items()
-    ]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return [
+            _write_series(out_dir / name, header, series)
+            for name, (header, series) in table.items()
+        ]
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output path {out_dir}: {exc}") from exc
 
 
 def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:
@@ -830,7 +830,12 @@ def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:
     if not matches:
         raise ConfigError(f"no trace files for {key} under {traces_dir}")
     for path in matches:
-        payload = json.loads(path.read_text())
-        if payload.get("seed") == row["seed"]:
+        try:
+            payload = json.loads(_read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not JSON: {exc}") from exc
+        if not isinstance(payload, dict) or not {"seed", "records"} <= payload.keys():
+            raise ConfigError(f"{path} is not a trace object with seed and records")
+        if payload["seed"] == row["seed"]:
             return payload
     raise ConfigError(f"no trace with seed {row['seed']} for {key}")

@@ -756,7 +756,7 @@ def record_scans(monkeypatch) -> list[np.ndarray]:
 class TestAdaptVqeRun:
     def test_huge_threshold_returns_zero_layers(self):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
-        settings = VqeSettings(pool=build_vqe_pool(4), epsilon=100.0)
+        settings = VqeSettings(epsilon=100.0)
         ansatz, trace = adapt_vqe_run(settings, ctx, ctx.target, seed=3)
         assert len(ansatz.generators) == 0
         assert trace.termination == "threshold"
@@ -765,11 +765,11 @@ class TestAdaptVqeRun:
     @pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan"), float("inf")])
     def test_settings_refuse_epsilon_outside_positive_reals(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
-            VqeSettings(pool=build_vqe_pool(2), epsilon=epsilon)
+            VqeSettings(epsilon=epsilon)
 
     def test_small_ising_reaches_high_fidelity(self):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
-        settings = VqeSettings(pool=build_vqe_pool(4), epsilon=1e-3)
+        settings = VqeSettings(epsilon=1e-3)
         outcome = restart_postselect(
             lambda i: adapt_vqe_run(settings, ctx, ctx.target, seed=100 + i), 3
         )
@@ -778,7 +778,7 @@ class TestAdaptVqeRun:
     def test_objective_monotone_and_selection_consistent(self, monkeypatch):
         ctx = ObjectiveContext(gibbs_state(xy_hamiltonian(2), 0.8), 2, 2)
         pool = build_vqe_pool(4)
-        settings = VqeSettings(pool=pool, epsilon=1e-3)
+        settings = VqeSettings(epsilon=1e-3)
         scans = record_scans(monkeypatch)
         ansatz, trace = adapt_vqe_run(settings, ctx, ctx.target, seed=5)
         objectives = [r.objective for r in trace.records]
@@ -802,7 +802,7 @@ class TestAdaptVqeRun:
         from gibbsprep.harness import cell_seed
 
         target = gibbs_state(ising_hamiltonian(4), 1.0 / 3.0)
-        settings = VqeSettings(pool=build_vqe_pool(6), epsilon=1e-3)
+        settings = VqeSettings(epsilon=1e-3)
         seed = cell_seed(1234, "ising", 3, 2, 1)
         _, trace = adapt_vqe_run(settings, ObjectiveContext(target, 4, 2), target, seed)
         assert trace.termination == "threshold"
@@ -816,7 +816,7 @@ class TestAdaptVqeRun:
         for beta_inv in (0.5, 1.0, 2.0):
             target = single_qubit_target(beta=1.0 / beta_inv)
             ctx = ObjectiveContext(target, 1, 1)
-            settings = VqeSettings(pool=build_vqe_pool(2), epsilon=1e-7)
+            settings = VqeSettings(epsilon=1e-7)
             outcome = restart_postselect(
                 lambda i: adapt_vqe_run(settings, ctx, target, seed=200 + i), 3
             )
@@ -824,7 +824,7 @@ class TestAdaptVqeRun:
 
     def test_determinism(self):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 0.6), 2, 1)
-        settings = VqeSettings(pool=build_vqe_pool(3), epsilon=1e-3)
+        settings = VqeSettings(epsilon=1e-3)
         _, t1 = adapt_vqe_run(settings, ctx, ctx.target, seed=11)
         _, t2 = adapt_vqe_run(settings, ctx, ctx.target, seed=11)
         assert without_wall_ms(t1.to_dict()) == without_wall_ms(t2.to_dict())
@@ -832,7 +832,7 @@ class TestAdaptVqeRun:
     def test_stalls_when_threshold_unreachable(self, monkeypatch):
         monkeypatch.setattr(adapt, "MAX_VQE_ITERATIONS", 60)
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
-        settings = VqeSettings(pool=build_vqe_pool(4), epsilon=1e-15)
+        settings = VqeSettings(epsilon=1e-15)
         _, trace = adapt_vqe_run(settings, ctx, ctx.target, seed=7)
         assert trace.termination in ("stalled", "threshold")
         if trace.termination == "stalled":
@@ -842,10 +842,37 @@ class TestAdaptVqeRun:
 
 def qaoa_settings(n, layer_budget=3):
     return QaoaSettings(
-        pool=build_qaoa_pool(n, entangling_hamiltonian(n)),
         cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n)),
         layer_budget=layer_budget,
     )
+
+
+def test_growth_runs_scan_the_register_pool(monkeypatch):
+    # Every weight-1/2 word on 2+2 qubits; on 3 pairs, the 81 data-ancilla
+    # words with the entangler last.
+    scans = []
+    real = adapt._pool_scan
+
+    def spy(state, pool, ctx, groups):
+        gradients = real(state, pool, ctx, groups)
+        scans.append((pool, gradients.size))
+        return gradients
+
+    monkeypatch.setattr(adapt, "_pool_scan", spy)
+    target = gibbs_state(ising_hamiltonian(2), 1.0)
+    ctx = ObjectiveContext(target, 2, 2)
+    _, trace = adapt_vqe_run(VqeSettings(epsilon=1e-3), ctx, target, seed=5)
+    assert len(scans) == len(trace.records)
+    assert all(pool == build_vqe_pool(4) and size == 66 for pool, size in scans)
+    assert trace.final_fidelity > 0.9999
+    scans.clear()
+    target = gibbs_state(ising_hamiltonian(3), 1.0)
+    ctx = ObjectiveContext(target, 3, 3)
+    _, trace = adapt_qaoa_run(qaoa_settings(3, 1), ctx, target, seed=5)
+    ((pool, size),) = scans
+    assert pool == build_qaoa_pool(3, entangling_hamiltonian(3)) and size == 82
+    assert pool[-1].label == ENTANGLER_LABEL
+    assert trace.final_fidelity > 0.9999
 
 
 class TestAdaptQaoaRun:
@@ -884,24 +911,6 @@ class TestAdaptQaoaRun:
         for record, gradients in zip(trace.records[1:], scans):
             magnitudes = np.abs(gradients)
             assert abs(record.selection_gradient) >= magnitudes.max() - 1e-12
-
-    def test_entangler_only_pool_reduces_to_baseline_structure(self):
-        n = 2
-        target = gibbs_state(ising_hamiltonian(n), 0.8)
-        ctx = ObjectiveContext(target, n, n)
-        entangler_pool = (
-            PoolOperator.from_entangler(entangling_hamiltonian(n), n),
-        )
-        settings = QaoaSettings(
-            pool=entangler_pool,
-            cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n)),
-            layer_budget=2,
-        )
-        adaptive, _ = adapt_qaoa_run(settings, ctx, target, seed=4)
-        baseline, _ = baseline_qaoa_run(settings, ctx, target, seed=4)
-        assert [op.label for op in adaptive.generators] == [
-            op.label for op in baseline.generators
-        ]
 
     def test_determinism(self):
         n = 2
@@ -968,7 +977,7 @@ def test_records_carry_optimizer_work(monkeypatch, flavor):
     if flavor == "qaoa":
         _, trace = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=8)
     else:
-        settings = VqeSettings(pool=build_vqe_pool(2 * n), epsilon=1e-3)
+        settings = VqeSettings(epsilon=1e-3)
         _, trace = adapt_vqe_run(settings, ctx, target, seed=8)
     assert len(results) >= 2
     work = [
@@ -1020,7 +1029,7 @@ PINNED_RUNS = {
 def test_growth_runs_match_pinned_values(flavor):
     target = gibbs_state(ising_hamiltonian(2), 1.0)
     if flavor == "vqe":
-        settings = VqeSettings(pool=build_vqe_pool(3), epsilon=1e-3)
+        settings = VqeSettings(epsilon=1e-3)
         ctx = ObjectiveContext(target, 2, 1)
         _, trace = adapt_vqe_run(settings, ctx, target, seed=3)
     else:

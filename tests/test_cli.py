@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -315,3 +316,71 @@ class TestPlotdataCommand:
             ]
         )
         assert code == 2
+
+
+def refused(capsys, argv, path) -> None:
+    """``main(argv)`` exits 2 with one stderr line that names ``path``."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(path) in err, err
+
+
+@pytest.fixture(scope="module")
+def sweep_outputs(tmp_path_factory):
+    """A vqe and a qaoa sweep's output directories, copied by each test to break."""
+    root = tmp_path_factory.mktemp("sweeps")
+    common = ["--n_data", "2", "--beta_inv_list", "1.0", "--restarts", "1"]
+    assert main(["vqe-gibbs", *common, "--n_ancilla", "1", "--out", str(root / "vqe")]) == 0
+    assert main(
+        ["qaoa-gibbs", *common, "--layer_budget", "1", "--out", str(root / "qaoa")]
+    ) == 0
+    return root
+
+
+class TestUnreadableInputs:
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        refused(capsys, ["vqe-gibbs", "--config", str(path)], path)
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe")
+        refused(capsys, ["vqe-gibbs", "--config", str(path)], path)
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda row: row.replace(",ising,2,", ",ising,two,", 1), 3),
+            (lambda row: row + "\nvqe_ising_nd2_na1_b0,abc", 4),
+            (lambda row: row + ",1", 3),
+        ],
+        ids=["unparsable-value", "short-row", "surplus-field"],
+    )
+    def test_malformed_csv_row(self, sweep_outputs, tmp_path, capsys, edit, line):
+        out = shutil.copytree(sweep_outputs / "vqe", tmp_path / "vqe")
+        csv = out / "results.csv"
+        comment, header, row = csv.read_text().splitlines()
+        csv.write_text("\n".join([comment, header, edit(row)]) + "\n")
+        argv = ["plotdata", "--csv", str(csv), "--panel", "fig1", "--out", str(tmp_path)]
+        refused(capsys, argv, f"{csv}:{line}")
+
+    @pytest.mark.parametrize("text", ["{not json", "[1,2]"])
+    def test_malformed_trace(self, sweep_outputs, tmp_path, capsys, text):
+        out = shutil.copytree(sweep_outputs / "qaoa", tmp_path / "qaoa")
+        (trace,) = (out / "traces").glob("*.json")
+        trace.write_text(text)
+        argv = ["plotdata", "--csv", str(out / "results.csv"), "--panel", "fig2",
+                "--out", str(tmp_path / "plot")]
+        refused(capsys, argv, trace)
+
+    def test_csv_path_is_a_directory(self, sweep_outputs, tmp_path, capsys):
+        out = sweep_outputs / "vqe"
+        argv = ["plotdata", "--csv", str(out), "--panel", "fig1", "--out", str(tmp_path)]
+        refused(capsys, argv, out)
+
+    def test_out_below_a_regular_file(self, sweep_outputs, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = ["plotdata", "--csv", str(sweep_outputs / "vqe" / "results.csv"),
+                "--panel", "fig1", "--out", str(afile / "sub")]
+        refused(capsys, argv, afile / "sub")

@@ -478,10 +478,21 @@ class TestRunSweep:
 
 @pytest.fixture
 def cold_caches():
-    """The process-wide builders emptied before the test and after it."""
-    from gibbsprep import adapt, cli, harness
+    """Every process-wide cache of the package emptied before the test and after it.
 
-    caches = (harness._sweep_invariants, adapt._cost_gate, cli._build_parser)
+    A cache is any module-level function with ``cache_clear``, found where
+    it is defined, so a new cache is emptied without being listed here.
+    """
+    from gibbsprep import adapt, cli, harness, models, objective, simcore
+
+    modules = (adapt, cli, harness, models, objective, simcore)
+    caches = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
+    }
+    assert {adapt._register_pool, adapt._register_groups, simcore.bell_frame} <= caches
     for cache in caches:
         cache.cache_clear()
     yield
@@ -516,20 +527,39 @@ class TestProcessCaches:
         assert warm_rows == cold_rows
         assert warm_traces == cold_traces
 
-    def test_layered_sweeps_build_the_pool_once(self, cold_caches, monkeypatch):
-        from gibbsprep import harness
-
-        built = []
-        real = harness.build_qaoa_pool
+    @staticmethod
+    def count_calls(monkeypatch, module, name) -> list:
+        """The argument tuples of every call of ``module.name`` from now on."""
+        calls = []
+        real = getattr(module, name)
 
         def counted(*args):
-            built.append(args)
+            calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(harness, "build_qaoa_pool", counted)
-        for algorithm in ("qaoa", "baseline"):
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_layered_sweeps_build_the_pool_once(self, cold_caches, monkeypatch):
+        from gibbsprep import adapt, harness
+
+        pools = self.count_calls(monkeypatch, adapt, "build_qaoa_pool")
+        groups = self.count_calls(monkeypatch, adapt, "_terms_by_support")
+        for algorithm in ("qaoa", "baseline", "qaoa"):
             assert len(run_sweep(layered_sweep(algorithm, layer_budget=1))) == 2
-        assert len(built) == 1
+        assert len(pools) == len(groups) == 1
+        # One model Hamiltonian (and so one eigensystem) and one cost gate.
+        assert harness._model_hamiltonian.cache_info().misses == 1
+        assert adapt._cost_gate.cache_info().misses == 1
+
+    def test_baseline_sweep_builds_no_support_groups(self, cold_caches, monkeypatch):
+        from gibbsprep import adapt
+
+        groups = self.count_calls(monkeypatch, adapt, "_terms_by_support")
+        assert len(run_sweep(layered_sweep("baseline", layer_budget=2))) == 2
+        assert groups == []
+        assert len(run_sweep(layered_sweep("qaoa", layer_budget=1))) == 2
+        assert len(groups) == 1
 
 
 class TestGradcheck:
