@@ -319,14 +319,14 @@ def build_qaoa_pool(
 
 
 @lru_cache(maxsize=None)
-def _register_pool(
+def register_pool(
     n_data: int, n_ancilla: int, layered: bool
 ) -> tuple[PoolOperator, ...]:
     """The pool a growth run on the register scans, built once per process.
 
     ``vqe`` scans every weight-1/2 word on the joint register; ``qaoa`` the
     data-ancilla words and then the pair entangler, which is every layer of
-    ``baseline``.
+    ``baseline``. Replay maps a trace's labels back to generators through it.
     """
     if layered:
         return build_qaoa_pool(n_data, entangling_hamiltonian(n_data))
@@ -403,13 +403,13 @@ class Ansatz:
     after the reference in order. A ``vqe`` ansatz's gates are its
     generators. ``qaoa`` and ``baseline`` ansatzes put one cost gate
     (:attr:`cost_gate`) before each generator, so their parameters are
-    ``[gamma_1, alpha_1, ..., gamma_n, alpha_n]``. The layered flavors
-    require ``cost_operator`` to be the problem Hamiltonian mirrored onto both
-    registers, ``H (x) 1 + 1 (x) H`` with ``n_ancilla == n_data``: its terms
-    are ``H``'s data-register terms followed by the same terms shifted onto
-    the ancillas, as :func:`~gibbsprep.models.joint_problem_hamiltonian`
-    builds it. ``H`` may be any Hamiltonian: the cost gate
-    ``exp(i gamma (H (x) 1 + 1 (x) H)/2)`` is a phase in a frame built from
+    ``[gamma_1, alpha_1, ..., gamma_n, alpha_n]``.
+
+    Each family's conventions are built by one constructor: :meth:`vqe` (the
+    seeded product reference) and :meth:`layered` (the singlet reference and
+    the cost ``H (x) 1 + 1 (x) H``, with ``n_ancilla == n_data``, as
+    :func:`~gibbsprep.models.joint_problem_hamiltonian` mirrors ``H``). ``H``
+    may be any Hamiltonian: the cost gate is a phase in a frame built from
     ``H`` on the data register alone (:class:`CostGate`). Only the shift-rule
     oracle needs ``H``'s terms to commute (:attr:`CostGate.terms`).
     """
@@ -437,6 +437,38 @@ class Ansatz:
                 raise ValueError(f"{self.flavor} ansatz needs a cost operator")
             self.cost_gate  # raises unless the cost is mirrored
         self.parameters = np.asarray(self.parameters, dtype=np.float64)
+
+    @classmethod
+    def vqe(
+        cls, n_data: int, n_ancilla: int, angles, generators=(), parameters=()
+    ) -> "Ansatz":
+        """A ``vqe`` ansatz on the :func:`reference_from_angles` state of ``angles``."""
+        return cls(
+            flavor="vqe",
+            n_data=n_data,
+            n_ancilla=n_ancilla,
+            reference=reference_from_angles(n_data, n_ancilla, angles),
+            reference_spec={"kind": "random_y", "angles": [float(a) for a in angles]},
+            generators=list(generators),
+            parameters=parameters,
+        )
+
+    @classmethod
+    def layered(
+        cls, flavor: str, hamiltonian: HermitianOperator, generators=(), parameters=()
+    ) -> "Ansatz":
+        """A ``qaoa``/``baseline`` ansatz for the data-register ``hamiltonian``."""
+        n = hamiltonian.n_qubits
+        return cls(
+            flavor=flavor,
+            n_data=n,
+            n_ancilla=n,
+            reference=singlet_reference_state(n),
+            reference_spec={"kind": "singlet"},
+            generators=list(generators),
+            parameters=parameters,
+            cost_operator=joint_problem_hamiltonian(hamiltonian),
+        )
 
     @cached_property
     def cost_gate(self) -> CostGate:
@@ -754,9 +786,9 @@ class VqeSettings:
 
 @dataclass(frozen=True)
 class QaoaSettings:
-    """What a layered run chooses: the mirrored cost and the number of layers."""
+    """What a layered run chooses: the problem Hamiltonian and the number of layers."""
 
-    cost_operator: HermitianOperator
+    hamiltonian: HermitianOperator
     layer_budget: int
 
     def __post_init__(self):
@@ -803,8 +835,8 @@ def _terms_by_support(pool: tuple[PoolOperator, ...]):
 
 @lru_cache(maxsize=None)
 def _register_groups(n_data: int, n_ancilla: int, layered: bool):
-    """:func:`_terms_by_support` of :func:`_register_pool`, built at the first scan."""
-    return _terms_by_support(_register_pool(n_data, n_ancilla, layered))
+    """:func:`_terms_by_support` of :func:`register_pool`, built at the first scan."""
+    return _terms_by_support(register_pool(n_data, n_ancilla, layered))
 
 
 def _marginal(
@@ -897,7 +929,7 @@ class _Growth:
         """
         ansatz = self.ansatz
         register = (ansatz.n_data, ansatz.n_ancilla, ansatz.flavor != "vqe")
-        pool = _register_pool(*register)
+        pool = register_pool(*register)
         gradients = _pool_scan(state, pool, self.ctx, _register_groups(*register))
         self.pool_norm = float(np.linalg.norm(gradients))
         best = _argmax_with_ties(gradients)
@@ -975,14 +1007,8 @@ def adapt_vqe_run(
     only improve), and re-optimizes all parameters.
     """
     rng = np.random.default_rng(seed)
-    reference, angles = vqe_reference_state(ctx.n_data, ctx.n_ancilla, rng)
-    ansatz = Ansatz(
-        flavor="vqe",
-        n_data=ctx.n_data,
-        n_ancilla=ctx.n_ancilla,
-        reference=reference,
-        reference_spec={"kind": "random_y", "angles": [float(a) for a in angles]},
-    )
+    _, angles = vqe_reference_state(ctx.n_data, ctx.n_ancilla, rng)
+    ansatz = Ansatz.vqe(ctx.n_data, ctx.n_ancilla, angles)
     growth = _Growth(ansatz, ctx, fidelity_target)
     termination = "max_iters"
     stall_count = 0
@@ -1012,16 +1038,11 @@ def _grow_layered_ansatz(
     flavor: str,
 ) -> tuple[Ansatz, AdaptTrace]:
     gamma0 = float(np.random.default_rng(seed).uniform(0.0, np.pi / 2))
-    ansatz = Ansatz(
-        flavor=flavor,
-        n_data=ctx.n_data,
-        n_ancilla=ctx.n_ancilla,
-        reference=singlet_reference_state(ctx.n_data),
-        reference_spec={"kind": "singlet"},
-        cost_operator=settings.cost_operator,
-    )
+    ansatz = Ansatz.layered(flavor, settings.hamiltonian)
+    if (ctx.n_data, ctx.n_ancilla) != (ansatz.n_data, ansatz.n_ancilla):
+        raise ValueError(f"a layered run needs n_data == n_ancilla == {ansatz.n_data}")
     select = flavor == "qaoa"
-    entangler = _register_pool(ctx.n_data, ctx.n_ancilla, True)[-1]
+    entangler = register_pool(ctx.n_data, ctx.n_ancilla, True)[-1]
     growth = _Growth(ansatz, ctx, fidelity_target)
     for _ in range(settings.layer_budget):
         t0 = time.perf_counter()

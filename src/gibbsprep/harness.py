@@ -20,17 +20,18 @@ run (``adapt.GROWTH_RUNS``) draws its start from that seed alone; for the
 layered rule see :func:`~gibbsprep.adapt.adapt_qaoa_run`. Scheduling order
 can therefore never affect results.
 
-Built once per process: here, the model Hamiltonian with its eigensystem,
-per model and ``n_data``; in ``adapt``, the pool a register scans with its
-support groups and the entangler's spectrum, per register, and a layered
-ansatz's cost gate, per cost operator. A target builds its density matrix
-and that matrix's square root once. A cell builds the rest: its settings
-from the config, its targets, the objective context and each restart's run.
+Built once per process, by the module that owns it: in ``models``, a
+Hamiltonian's eigensystem, per operator value; in ``adapt``, the pool a
+register scans with its support groups and the entangler's spectrum, per
+register, and a layered ansatz's cost gate, per cost operator. A target
+builds its density matrix and that matrix's square root once. A cell builds
+the rest: its Hamiltonian, settings, targets and objective context, and each
+restart's run. Replay and ``gradcheck`` build ansatzes through ``adapt``'s
+two constructors, ``Ansatz.vqe`` and ``Ansatz.layered``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -45,34 +46,26 @@ import numpy as np
 from .adapt import (
     DEFAULT_QAOA_RESTARTS,
     DEFAULT_VQE_RESTARTS,
-    ENTANGLER_LABEL,
     GROWTH_RUNS,
     Ansatz,
     CostGate,
     MAX_QAOA_LAYERS,
     NumericalFailure,
-    PoolOperator,
     QaoaSettings,
     VqeSettings,
     ansatz_value_and_gradient,
-    build_qaoa_pool,
-    build_vqe_pool,
-    reference_from_angles,
+    register_pool,
     restart_postselect,
-    singlet_reference_state,
 )
 from .models import (
-    HermitianOperator,
-    entangling_hamiltonian,
     gibbs_state,
     ising_hamiltonian,
-    joint_problem_hamiltonian,
     max_fidelity_bound,
     truncated_target,
     xy_hamiltonian,
 )
 from .objective import ObjectiveContext, objective, shift_rule_gradient
-from .simcore import PauliString, StateVector, partial_trace_ancilla
+from .simcore import StateVector, partial_trace_ancilla
 
 MODEL_BUILDERS = {"ising": ising_hamiltonian, "xy": xy_hamiltonian}
 MODEL_CODES = {"ising": 0, "xy": 1}
@@ -281,12 +274,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
 _COLUMN_TYPES = get_type_hints(ResultRecord)
 
 
-@functools.cache
-def _model_hamiltonian(model: str, n_data: int) -> HermitianOperator:
-    """The model Hamiltonian, built once per process with its eigensystem."""
-    return MODEL_BUILDERS[model](n_data)
-
-
 def _run_cell(
     config: ExperimentConfig, beta_index: int, n_ancilla: int
 ) -> tuple[ResultRecord, list[dict]]:
@@ -297,12 +284,11 @@ def _run_cell(
     started = time.perf_counter()
     beta_inv = config.beta_inv_list[beta_index]
     beta = 1.0 / beta_inv
-    hamiltonian = _model_hamiltonian(config.model, config.n_data)
+    hamiltonian = MODEL_BUILDERS[config.model](config.n_data)
     if config.algorithm == "vqe":
         settings = VqeSettings(config.epsilon)
     else:
-        cost = joint_problem_hamiltonian(hamiltonian)
-        settings = QaoaSettings(cost, config.layer_budget)
+        settings = QaoaSettings(hamiltonian, config.layer_budget)
     try:
         exact = gibbs_state(hamiltonian, beta)
     except ValueError as exc:
@@ -442,39 +428,27 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
 
 
 def replay_state(trace: dict, n_data: int, n_ancilla: int) -> StateVector:
-    """Rebuild the final state of a persisted trace bit-exactly."""
-    spec = trace["reference_spec"]
-    if spec["kind"] == "random_y":
-        reference = reference_from_angles(
-            n_data, n_ancilla, np.array(spec["angles"])
-        )
-    elif spec["kind"] == "singlet":
-        reference = singlet_reference_state(n_data)
-    else:
-        raise ValueError(f"unknown reference kind {spec['kind']!r}")
-    entangler = PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
-    generators = [
-        entangler
-        if label == ENTANGLER_LABEL
-        else PoolOperator.from_pauli(PauliString.from_label(label))
-        for label in trace["generator_labels"]
-    ]
-    cost = None
-    if trace["flavor"] in ("qaoa", "baseline"):
-        cost = joint_problem_hamiltonian(
-            MODEL_BUILDERS[trace["model"]](n_data)
-        )
-    ansatz = Ansatz(
-        flavor=trace["flavor"],
-        n_data=n_data,
-        n_ancilla=n_ancilla,
-        reference=reference,
-        reference_spec=spec,
-        generators=generators,
-        parameters=np.array(trace["final_parameters"], dtype=np.float64),
-        cost_operator=cost,
-    )
-    return ansatz.prepare()
+    """Rebuild the final state of a persisted trace bit-exactly.
+
+    A generator label that the register's pool lacks raises ``ValueError``.
+    """
+    layered = trace["flavor"] != "vqe"
+    if layered and n_ancilla != n_data:
+        raise ValueError(f"a {trace['flavor']} trace needs n_ancilla == n_data")
+    pool = {op.label: op for op in register_pool(n_data, n_ancilla, layered)}
+    try:
+        generators = [pool[label] for label in trace["generator_labels"]]
+    except KeyError as exc:
+        raise ValueError(
+            f"generator {exc.args[0]!r} is not in the {n_data}+{n_ancilla} "
+            f"register's {trace['flavor']} pool"
+        ) from None
+    parameters = trace["final_parameters"]
+    if not layered:
+        angles = trace["reference_spec"]["angles"]
+        return Ansatz.vqe(n_data, n_ancilla, angles, generators, parameters).prepare()
+    hamiltonian = MODEL_BUILDERS[trace["model"]](n_data)
+    return Ansatz.layered(trace["flavor"], hamiltonian, generators, parameters).prepare()
 
 
 # -- gradient self-check ----------------------------------------------------
@@ -529,8 +503,8 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
         raise ConfigError("trials must be >= 1")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    pool = build_vqe_pool(4)
-    qaoa_pool = build_qaoa_pool(2, entangling_hamiltonian(2))
+    pool = register_pool(2, 2, False)
+    qaoa_pool = register_pool(2, 2, True)
     entries: list[GradcheckTrial] = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -544,31 +518,17 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
         if trial % GRADCHECK_LAYERED_PERIOD == GRADCHECK_LAYERED_PERIOD - 1:
             depth = int(rng.integers(1, 4))
             drawn = rng.integers(0, len(qaoa_pool), depth - 1)
-            ansatz = Ansatz(
-                flavor="qaoa",
-                n_data=2,
-                n_ancilla=2,
-                reference=singlet_reference_state(2),
-                reference_spec={"kind": "singlet"},
-                generators=[qaoa_pool[-1]] + [qaoa_pool[int(i)] for i in drawn],
-                cost_operator=joint_problem_hamiltonian(model),
-            )
+            mixers = [qaoa_pool[-1]] + [qaoa_pool[int(i)] for i in drawn]
+            ansatz = Ansatz.layered("qaoa", model, mixers)
             params = rng.uniform(-np.pi, np.pi, 2 * depth)
         else:
-            reference = reference_from_angles(2, 2, rng.uniform(0, 2 * np.pi, size=4))
+            angles = rng.uniform(0, 2 * np.pi, size=4)
             depth = int(rng.integers(2, 6))
             chosen = [pool[int(i)] for i in rng.integers(0, len(pool), depth)]
             params = (
                 np.zeros(depth) if trial == 0 else rng.uniform(-np.pi, np.pi, depth)
             )
-            ansatz = Ansatz(
-                flavor="vqe",
-                n_data=2,
-                n_ancilla=2,
-                reference=reference,
-                reference_spec={"kind": "random_y"},
-                generators=chosen,
-            )
+            ansatz = Ansatz.vqe(2, 2, angles, chosen)
 
         def value_at(x: np.ndarray) -> float:
             return objective(partial_trace_ancilla(ansatz.prepare(x)), ctx)
@@ -670,7 +630,7 @@ def _fixed_mixer_cnots(model: str, n_data: int) -> int:
     reference state built.
     """
     cost = CostGate(MODEL_BUILDERS[model](n_data))
-    entangler = PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
+    entangler = register_pool(n_data, n_data, True)[-1]
     return n_data + math.ceil(n_data / 2) * (cost.cnot_cost + entangler.cnot_cost)
 
 
@@ -823,6 +783,16 @@ def emit_plot_data(
         raise ConfigError(f"cannot write to output path {out_dir}: {exc}") from exc
 
 
+def _is_trace(payload) -> bool:
+    """An object with a seed and non-empty records of the numbers fig2 reads."""
+    records = payload.get("records") if isinstance(payload, dict) else None
+    keys = ("index", "fidelity", "cnot_count")
+    return isinstance(records, list) and "seed" in payload and records != [] and all(
+        isinstance(r, dict) and all(type(r.get(k)) in (int, float) for k in keys)
+        for r in records
+    )
+
+
 def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:
     """Locate the restart trace of the row's run_id, config_hash and seed."""
     key = f"{row['run_id']}.{row['config_hash']}"
@@ -834,8 +804,11 @@ def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:
             payload = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not JSON: {exc}") from exc
-        if not isinstance(payload, dict) or not {"seed", "records"} <= payload.keys():
-            raise ConfigError(f"{path} is not a trace object with seed and records")
+        if not _is_trace(payload):
+            raise ConfigError(
+                f"{path} is not a trace object with a seed and a non-empty list of "
+                "records, each with a numeric index, fidelity and cnot_count"
+            )
         if payload["seed"] == row["seed"]:
             return payload
     raise ConfigError(f"no trace with seed {row['seed']} for {key}")

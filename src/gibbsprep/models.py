@@ -1,14 +1,15 @@
 """Problem Hamiltonians and normalized thermal-state targets.
 
 Hamiltonians are stored as real linear combinations of Pauli words and
-diagonalized lazily; the dense matrix and eigendecomposition are cached on
-first use, so operators are cheap to share across workers after warm-up.
+diagonalized lazily. The dense matrix is cached on the operator at first use;
+the eigendecomposition is cached per operator value (:func:`_eigensystem`), so
+equal operators built apart pay one ``eigh`` per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -60,11 +61,8 @@ class HermitianOperator:
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and the matching orthonormal eigenvectors."""
-        values, vectors = np.linalg.eigh(self.matrix)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        return values, vectors
+        """Ascending eigenvalues and orthonormal eigenvectors, one per operator value."""
+        return _eigensystem(self)
 
     @cached_property
     def terms_commute(self) -> bool:
@@ -81,6 +79,18 @@ class HermitianOperator:
             for c, p in self.terms
         )
         return HermitianOperator(n_qubits, terms)
+
+
+@cache
+def _eigensystem(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the matrix, read-only, once per process per operator value.
+
+    A model and its data-register copy in a layered cost gate share it.
+    """
+    values, vectors = np.linalg.eigh(operator.matrix)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
 
 
 def ising_hamiltonian(n_data: int) -> HermitianOperator:
@@ -130,8 +140,7 @@ def entangling_hamiltonian(n_data: int) -> HermitianOperator:
 def joint_problem_hamiltonian(h_data: HermitianOperator) -> HermitianOperator:
     """``H (x) 1 + 1 (x) H``: the problem Hamiltonian on both registers."""
     n = h_data.n_qubits
-    terms = h_data.shifted_to(2 * n, 0).terms + h_data.shifted_to(2 * n, n).terms
-    return HermitianOperator(2 * n, terms)
+    return HermitianOperator(2 * n, h_data.terms + h_data.shifted_to(2 * n, n).terms)
 
 
 @dataclass(frozen=True)

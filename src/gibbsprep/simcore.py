@@ -15,7 +15,6 @@ concurrently.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -25,8 +24,6 @@ NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-
-_LABEL_TOKEN = re.compile(r"([XYZ])(\d+)")
 
 
 @dataclass(frozen=True, order=True)
@@ -62,16 +59,8 @@ class PauliString:
 
     @property
     def label(self) -> str:
-        """Compact text form, e.g. ``X0Z3``; parseable by :meth:`from_label`."""
+        """Compact text form, e.g. ``X0Z3``: letter then qubit, in support order."""
         return "".join(f"{c}{q}" for q, c in zip(self.support, self.letters))
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        tokens = _LABEL_TOKEN.findall(label)
-        if "".join(c + q for c, q in tokens) != label:
-            raise ValueError(f"cannot parse Pauli label {label!r}")
-        pairs = sorted((int(q), c) for c, q in tokens)
-        return cls(tuple(q for q, _ in pairs), "".join(c for _, c in pairs))
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two words commute (even number of clashing letters)."""

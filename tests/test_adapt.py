@@ -841,10 +841,7 @@ class TestAdaptVqeRun:
 
 
 def qaoa_settings(n, layer_budget=3):
-    return QaoaSettings(
-        cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n)),
-        layer_budget=layer_budget,
-    )
+    return QaoaSettings(hamiltonian=ising_hamiltonian(n), layer_budget=layer_budget)
 
 
 def test_growth_runs_scan_the_register_pool(monkeypatch):
@@ -919,6 +916,12 @@ class TestAdaptQaoaRun:
         _, t1 = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=8)
         _, t2 = adapt_qaoa_run(qaoa_settings(n, 2), ctx, target, seed=8)
         assert without_wall_ms(t1.to_dict()) == without_wall_ms(t2.to_dict())
+
+    def test_rejects_an_objective_on_another_register(self):
+        target = gibbs_state(ising_hamiltonian(2), 1.0)
+        ctx = ObjectiveContext(target, 2, 3)
+        with pytest.raises(ValueError, match="n_data == n_ancilla == 2"):
+            adapt_qaoa_run(qaoa_settings(2, 1), ctx, target, seed=1)
 
     @pytest.mark.parametrize("flavor", ["qaoa", "baseline"])
     def test_gamma0_is_the_seed_draw(self, flavor):

@@ -373,6 +373,19 @@ class TestUnreadableInputs:
                 "--out", str(tmp_path / "plot")]
         refused(capsys, argv, trace)
 
+    @pytest.mark.parametrize(
+        "records", [[{"index": 0}], 5], ids=["record-without-fidelity", "not-a-list"]
+    )
+    def test_malformed_trace_records(self, sweep_outputs, tmp_path, capsys, records):
+        out = shutil.copytree(sweep_outputs / "qaoa", tmp_path / "qaoa")
+        (trace,) = (out / "traces").glob("*.json")
+        payload = json.loads(trace.read_text())
+        payload["records"] = records
+        trace.write_text(json.dumps(payload))
+        argv = ["plotdata", "--csv", str(out / "results.csv"), "--panel", "fig2",
+                "--out", str(tmp_path / "plot")]
+        refused(capsys, argv, trace)
+
     def test_csv_path_is_a_directory(self, sweep_outputs, tmp_path, capsys):
         out = sweep_outputs / "vqe"
         argv = ["plotdata", "--csv", str(out), "--panel", "fig1", "--out", str(tmp_path)]

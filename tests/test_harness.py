@@ -12,12 +12,16 @@ import pytest
 from gibbsprep import (
     Ansatz,
     NumericalFailure,
+    ObjectiveContext,
     PoolOperator,
     cnot_count,
     entangling_hamiltonian,
+    gibbs_state,
     joint_problem_hamiltonian,
+    objective,
     partial_trace_ancilla,
     singlet_reference_state,
+    truncated_target,
 )
 from gibbsprep.adapt import ENTANGLER_LABEL, GROWTH_RUNS, CostGate
 from gibbsprep.harness import (
@@ -450,13 +454,14 @@ class TestRunSweep:
         )
         payload = json.loads(trace_path.read_text())
         state = replay_state(payload, config.n_data, 2)
-        from gibbsprep import ObjectiveContext, gibbs_state, ising_hamiltonian, objective
+        from gibbsprep import ising_hamiltonian
 
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
         value = objective(partial_trace_ancilla(state), ctx)
         assert abs(value - records[0].objective) < 1e-12
 
-    def test_replay_builds_one_entangler_per_call(self, monkeypatch, tmp_path):
+    def test_replay_builds_no_pool_operator(self, monkeypatch, tmp_path):
+        # Replay looks its generators up in the pool the sweep already built.
         out = tmp_path / "out"
         config = tiny_config(algorithm="baseline", n_ancilla=(2,), layer_budget=4,
                              out=str(out))
@@ -465,15 +470,59 @@ class TestRunSweep:
         payload = json.loads(path.read_text())
         assert payload["generator_labels"] == [ENTANGLER_LABEL] * 4
         built = []
-        real = PoolOperator.from_entangler
-
-        def counted(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(PoolOperator, "from_entangler", counted)
+        for name in ("from_entangler", "from_pauli"):
+            real = getattr(PoolOperator, name)
+            counted = lambda *args, real=real: built.append(args) or real(*args)
+            monkeypatch.setattr(PoolOperator, name, counted)
         replay_state(payload, config.n_data, 2)
-        assert len(built) == 1
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n_ancilla=(1, 2)), dict(model="xy", truncation=3)],
+        ids=["ising-na1-na2", "xy-truncated"],
+    )
+    def test_vqe_traces_replay_to_their_objective(self, tmp_path, overrides):
+        out = tmp_path / "out"
+        run_sweep(tiny_config(out=str(out), restarts=2, **overrides))
+        paths = sorted((out / "traces").glob("*.json"))
+        assert len(paths) == 2 * len(overrides.get("n_ancilla", (1,)))
+        for path in paths:
+            payload = json.loads(path.read_text())
+            value = replayed_objective(payload)
+            assert abs(value - payload["final_objective"]) <= 1e-12, path.name
+
+    @pytest.mark.parametrize(
+        "algorithm, n_ancilla, label",
+        [("vqe", 1, "X0Z5"), ("qaoa", 2, "Z0")],
+        ids=["qubit-outside-the-register", "word-outside-the-layered-pool"],
+    )
+    def test_replay_refuses_a_label_outside_the_pool(
+        self, tmp_path, algorithm, n_ancilla, label
+    ):
+        out = tmp_path / "out"
+        config = tiny_config(algorithm=algorithm, n_ancilla=(n_ancilla,),
+                             layer_budget=1, out=str(out))
+        run_sweep(config)
+        (path,) = (out / "traces").glob("*.json")
+        payload = json.loads(path.read_text())
+        payload["generator_labels"][-1] = label
+        with pytest.raises(ValueError, match=f"generator '{label}' is not in"):
+            replay_state(payload, config.n_data, n_ancilla)
+
+
+def replayed_objective(payload: dict) -> float:
+    """The objective of a trace's replayed state, against the target it names."""
+    n_data, n_ancilla = (payload["metadata"][k] for k in ("n_data", "n_ancilla"))
+    hamiltonian = MODEL_BUILDERS[payload["model"]](n_data)
+    beta = 1.0 / payload["beta_inv"]
+    if payload["truncation"] == "exact":
+        target = gibbs_state(hamiltonian, beta)
+    else:
+        target = truncated_target(hamiltonian, beta, int(payload["truncation"]))
+    state = replay_state(payload, n_data, n_ancilla)
+    ctx = ObjectiveContext(target, n_data, n_ancilla)
+    return objective(partial_trace_ancilla(state), ctx)
 
 
 @pytest.fixture
@@ -492,7 +541,7 @@ def cold_caches():
         for obj in vars(module).values()
         if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
     }
-    assert {adapt._register_pool, adapt._register_groups, simcore.bell_frame} <= caches
+    assert {adapt.register_pool, adapt._register_groups, simcore.bell_frame} <= caches
     for cache in caches:
         cache.cache_clear()
     yield
@@ -541,16 +590,28 @@ class TestProcessCaches:
         return calls
 
     def test_layered_sweeps_build_the_pool_once(self, cold_caches, monkeypatch):
-        from gibbsprep import adapt, harness
+        from gibbsprep import adapt, models
 
         pools = self.count_calls(monkeypatch, adapt, "build_qaoa_pool")
         groups = self.count_calls(monkeypatch, adapt, "_terms_by_support")
         for algorithm in ("qaoa", "baseline", "qaoa"):
             assert len(run_sweep(layered_sweep(algorithm, layer_budget=1))) == 2
         assert len(pools) == len(groups) == 1
-        # One model Hamiltonian (and so one eigensystem) and one cost gate.
-        assert harness._model_hamiltonian.cache_info().misses == 1
+        # One eigensystem (the model's, shared by every cell) and one cost gate.
+        assert models._eigensystem.cache_info().misses == 1
         assert adapt._cost_gate.cache_info().misses == 1
+
+    @pytest.mark.parametrize("model", ["ising", "xy"])
+    def test_layered_sweep_pays_one_eigh_per_hamiltonian(
+        self, cold_caches, monkeypatch, model
+    ):
+        # The model's eigensystem (which the xy cost gate's frame shares) and
+        # each cell's target square root.
+        calls = self.count_calls(monkeypatch, np.linalg, "eigh")
+        config = layered_sweep("qaoa", model=model, n_data=3, n_ancilla=(3,),
+                               layer_budget=1)
+        assert len(run_sweep(config)) == 2
+        assert len(calls) == 3
 
     def test_baseline_sweep_builds_no_support_groups(self, cold_caches, monkeypatch):
         from gibbsprep import adapt

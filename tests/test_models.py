@@ -40,6 +40,15 @@ class TestHermitianOperator:
         scale = np.linalg.norm(op.matrix)
         assert np.linalg.norm(op.matrix - rebuilt) <= 1e-9 * scale
 
+    def test_equal_operators_share_one_eigensystem(self):
+        # Built apart, as a model and a cost gate's data-register copy are.
+        first = xy_hamiltonian(3)
+        second = HermitianOperator(3, tuple(first.terms))
+        assert second is not first and second == first
+        assert second.eigensystem is first.eigensystem
+        assert "matrix" not in second.__dict__  # the second builds nothing
+        assert xy_hamiltonian(2).eigensystem is not first.eigensystem
+
     def test_rejects_nonfinite_and_out_of_range(self):
         with pytest.raises(ValueError):
             HermitianOperator(2, ((np.inf, PauliString((0,), "X")),))
