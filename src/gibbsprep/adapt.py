@@ -265,11 +265,7 @@ def _cost_gate(cost: HermitianOperator, n_data: int, n_ancilla: int) -> CostGate
     """
     n = n_data
     h = HermitianOperator(n, tuple(t for t in cost.terms if t[1].support[-1] < n))
-    if (
-        n_ancilla != n
-        or cost.n_qubits != 2 * n
-        or cost.terms != h.terms + h.shifted_to(2 * n, n).terms
-    ):
+    if n_ancilla != n or cost != joint_problem_hamiltonian(h):
         raise ValueError(
             "cost operator must be the mirrored H (x) 1 + 1 (x) H: its "
             "data-register terms, then the same on n_ancilla == n_data ancillas"
@@ -796,15 +792,12 @@ class QaoaSettings:
             raise ValueError(f"layer budget must be in [0, {MAX_QAOA_LAYERS}]")
 
 
-@lru_cache(maxsize=None)
 def _local_word(letters: str) -> np.ndarray:
     """Flattened ``P^T`` of a word ``P`` on its own support."""
     local = np.ones((1, 1), dtype=np.complex128)
     for letter in letters:
         local = np.kron(_PAULI_MATRICES[letter], local)
-    flat = local.T.ravel()
-    flat.setflags(write=False)
-    return flat
+    return local.T.ravel()
 
 
 def _terms_by_support(pool: tuple[PoolOperator, ...]):
@@ -817,10 +810,13 @@ def _terms_by_support(pool: tuple[PoolOperator, ...]):
     ``c_i Tr(P_i M)``; ``rows`` holds the pool index of every term, group
     after group. A register's pool keeps its groups in :func:`_register_groups`.
     """
+    # A pool holds few distinct letter strings, and np.kron is slow on tiny arrays.
+    letters = {p.letters for op in pool for _, p in op.terms}
+    words = {w: _local_word(w) for w in letters}
     by_support: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
     for j, op in enumerate(pool):
         for c, p in op.terms:
-            weights = c * _local_word(p.letters)
+            weights = c * words[p.letters]
             by_support.setdefault(p.support, []).append((j, weights))
     rows = np.array([j for terms in by_support.values() for j, _ in terms])
     groups = tuple(

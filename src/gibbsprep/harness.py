@@ -5,12 +5,18 @@ model runs under every algorithm; the layered ones need ``n_ancilla ==
 n_data``.
 Sweeps iterate the cell grid (ancilla count x inverse-temperature list),
 run the configured number of seeded restarts per cell, postselect by final
-objective, and append one result row per cell to a CSV whose column order is
-fixed by ``CSV_COLUMNS``; appending to a CSV with another header is a
-configuration error. Each successful restart's trace is persisted as JSON in
-``traces/{run_id}.{config_hash}.r{restart}.json`` next to the CSV, before
-the cell's row, sufficient to replay the ansatz bit-exactly; the config hash
-keeps sweeps that share an output directory and a run_id apart.
+objective, and append one :class:`ResultRecord` row per cell to a CSV whose
+column order is fixed by ``CSV_COLUMNS``. Each successful restart's trace is
+persisted as JSON in ``traces/{run_id}.{config_hash}.r{restart}.json`` next
+to the CSV, before the cell's row, sufficient to replay the ansatz
+bit-exactly; the config hash keeps sweeps that share an output directory and
+a run_id apart.
+
+The CSV is read back only through ``_read_results``, which needs the
+writer's exact two header lines and returns one ``ResultRecord`` per row,
+with at most one row per ``(run_id, config_hash)``. A sweep reads an
+existing CSV before it appends, and refuses to run a cell that is already on
+disk: one CSV row resolves to exactly one set of traces.
 
 Seed scheme (pinned by tests): the seed of restart ``r`` in the cell with
 inverse-temperature index ``b`` and ancilla count ``a`` is the first output
@@ -48,12 +54,12 @@ from .adapt import (
     DEFAULT_VQE_RESTARTS,
     GROWTH_RUNS,
     Ansatz,
-    CostGate,
     MAX_QAOA_LAYERS,
     NumericalFailure,
     QaoaSettings,
     VqeSettings,
     ansatz_value_and_gradient,
+    cnot_count,
     register_pool,
     restart_postselect,
 )
@@ -264,14 +270,71 @@ class ResultRecord:
                 f"{self.max_fidelity_bound}"
             )
 
+    @property
+    def algorithm(self) -> str:
+        return self.run_id.split("_", 1)[0]
+
     def to_csv_row(self) -> str:
         return ",".join(_format_value(getattr(self, c)) for c in CSV_COLUMNS)
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
+_CSV_HEADER = [CSV_SCHEMA_COMMENT, ",".join(CSV_COLUMNS)]
 
-# The field types of ResultRecord parse its CSV columns back (_read_csv).
+# The field types of ResultRecord parse its CSV columns back (_read_results).
 _COLUMN_TYPES = get_type_hints(ResultRecord)
+
+
+def _read_results(csv_path: Path) -> list[ResultRecord]:
+    """The records of a results CSV that starts with the writer's two header lines.
+
+    Any other header, a line whose fields ``ResultRecord`` cannot take, or a
+    second row for one ``(run_id, config_hash)`` is a ConfigError naming the
+    file (and the line).
+    """
+    lines = _read_text(csv_path).splitlines()
+    if lines[:2] != _CSV_HEADER:
+        raise ConfigError(
+            f"{csv_path} has header {lines[:2]}, expected {_CSV_HEADER};"
+            " write to another output directory"
+        )
+    records: list[ResultRecord] = []
+    seen: dict[tuple[str, str], int] = {}
+    for lineno, line in enumerate(lines[2:], 3):
+        values = line.split(",")
+        if len(values) != len(CSV_COLUMNS):
+            raise ConfigError(
+                f"{csv_path}:{lineno}: {len(values)} fields, the header has "
+                f"{len(CSV_COLUMNS)}"
+            )
+        parsed = {}
+        for column, value in zip(CSV_COLUMNS, values):
+            try:
+                parsed[column] = _COLUMN_TYPES[column](value)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{csv_path}:{lineno}: bad {column} value {value!r}"
+                ) from exc
+        try:
+            record = ResultRecord(**parsed)
+        except NumericalFailure as exc:
+            raise ConfigError(f"{csv_path}:{lineno}: {exc}") from exc
+        key = (record.run_id, record.config_hash)
+        if key in seen:
+            raise ConfigError(
+                f"{csv_path}:{lineno}: run_id {record.run_id} with config_hash "
+                f"{record.config_hash} is already on line {seen[key]}"
+            )
+        seen[key] = lineno
+        records.append(record)
+    return records
+
+
+def _run_id(config: ExperimentConfig, beta_index: int, n_ancilla: int) -> str:
+    return (
+        f"{config.algorithm}_{config.model}_nd{config.n_data}"
+        f"_na{n_ancilla}_b{beta_index}"
+    )
 
 
 def _run_cell(
@@ -307,10 +370,7 @@ def _run_cell(
 
     outcome = restart_postselect(run, config.restarts)
     best = outcome.trace
-    run_id = (
-        f"{config.algorithm}_{config.model}_nd{config.n_data}"
-        f"_na{n_ancilla}_b{beta_index}"
-    )
+    run_id = _run_id(config, beta_index, n_ancilla)
     pool_norm = best.final_pool_gradient_norm
     record = ResultRecord(
         run_id=run_id,
@@ -354,36 +414,39 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     Rows are written in deterministic grid order (ancilla-major, then
     temperature) with a flush after each row, so an interrupted sweep leaves
     only whole rows behind. Worker processes only change wall-clock columns.
+    A cell whose ``(run_id, config_hash)`` is already in the CSV is refused
+    before any cell runs.
     """
-    out_dir = Path(config.out) if config.out else None
-    writer = None
-    if out_dir is not None:
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "traces").mkdir(exist_ok=True)
-            csv_path = out_dir / "results.csv"
-            header = [CSV_SCHEMA_COMMENT, ",".join(CSV_COLUMNS)]
-            fresh = not csv_path.exists()
-            if not fresh:
-                with csv_path.open() as existing:
-                    found = [existing.readline().rstrip("\n") for _ in header]
-                if found != header:
-                    raise ConfigError(
-                        f"{csv_path} has header {found}, expected {header};"
-                        " write to another output directory"
-                    )
-            writer = csv_path.open("a")
-            if fresh:
-                writer.write("\n".join(header) + "\n")
-                writer.flush()
-        except OSError as exc:
-            raise ConfigError(f"cannot write to output path {out_dir}: {exc}")
-
     cells = [
         (config, beta_index, n_ancilla)
         for n_ancilla in config.n_ancilla
         for beta_index in range(len(config.beta_inv_list))
     ]
+    out_dir = Path(config.out) if config.out else None
+    writer = None
+    if out_dir is not None:
+        csv_path = out_dir / "results.csv"
+        fresh = not csv_path.exists()
+        if not fresh:
+            done = {(r.run_id, r.config_hash) for r in _read_results(csv_path)}
+            config_hash = config.config_hash()
+            for cell in cells:
+                run_id = _run_id(*cell)
+                if (run_id, config_hash) in done:
+                    raise ConfigError(
+                        f"{csv_path} already holds run_id {run_id} of this "
+                        "config; write to another --out"
+                    )
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "traces").mkdir(exist_ok=True)
+            writer = csv_path.open("a")
+            if fresh:
+                writer.write("\n".join(_CSV_HEADER) + "\n")
+                writer.flush()
+        except OSError as exc:
+            raise ConfigError(f"cannot write to output path {out_dir}: {exc}")
+
     records: list[ResultRecord] = []
     # The pool forks all its workers at the first submit, so it gets no
     # more than there are cells.
@@ -465,10 +528,22 @@ class GradcheckTrial:
 
 @dataclass
 class GradcheckReport:
-    max_deviation: float
-    max_engine_deviation: float
     entries: list[GradcheckTrial]
-    passed: bool
+
+    @property
+    def max_deviation(self) -> float:
+        return max(e.deviation for e in self.entries)
+
+    @property
+    def max_engine_deviation(self) -> float:
+        return max(e.engine_deviation for e in self.entries)
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.max_deviation < GRADCHECK_THRESHOLD
+            and self.max_engine_deviation < GRADCHECK_ENGINE_THRESHOLD
+        )
 
     def lines(self) -> list[str]:
         out = [
@@ -552,63 +627,13 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
                 float(np.abs(adjoint - exact).max()),
             )
         )
-    max_deviation = max(e.deviation for e in entries)
-    max_engine_deviation = max(e.engine_deviation for e in entries)
-    return GradcheckReport(
-        max_deviation=max_deviation,
-        max_engine_deviation=max_engine_deviation,
-        entries=entries,
-        passed=bool(
-            max_deviation < GRADCHECK_THRESHOLD
-            and max_engine_deviation < GRADCHECK_ENGINE_THRESHOLD
-        ),
-    )
+    return GradcheckReport(entries)
 
 
 # -- plot data --------------------------------------------------------------
 
 INFIDELITY_FLOOR = 1e-16
 CONVERGED_FIDELITY = 0.99
-
-
-def _read_csv(csv_path: Path) -> list[dict]:
-    """The data rows, each value parsed by its column's type.
-
-    A row whose field count differs from the header's, or with a value its
-    column's type cannot parse, is a ConfigError naming the file and line.
-    """
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(_read_text(csv_path).splitlines(), 1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if not lines:
-        raise ConfigError(f"{csv_path} has no header row")
-    header = lines[0][1].split(",")
-    missing = [c for c in CSV_COLUMNS if c not in header]
-    if missing:
-        raise ConfigError(f"{csv_path} is missing columns: {missing}")
-    rows = []
-    for lineno, line in lines[1:]:
-        values = line.split(",")
-        if len(values) != len(header):
-            raise ConfigError(
-                f"{csv_path}:{lineno}: {len(values)} fields, the header has "
-                f"{len(header)}"
-            )
-        row = dict(zip(header, values))
-        for column in CSV_COLUMNS:
-            try:
-                row[column] = _COLUMN_TYPES[column](row[column])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{csv_path}:{lineno}: bad {column} value {row[column]!r}"
-                ) from exc
-        row["algorithm"] = row["run_id"].split("_", 1)[0]
-        rows.append(row)
-    if not rows:
-        raise ConfigError(f"{csv_path} contains no data rows")
-    return rows
 
 
 # A panel's series files: file name -> (column header, rows), in write order.
@@ -624,32 +649,30 @@ def _write_series(path: Path, header: str, rows: list[tuple]) -> Path:
 
 
 def _fixed_mixer_cnots(model: str, n_data: int) -> int:
-    """CNOTs of the fixed-entangler ansatz at n_data/2 layers, from its gates.
-
-    That ``baseline`` ansatz's :func:`~gibbsprep.adapt.cnot_count`, with no
-    reference state built.
-    """
-    cost = CostGate(MODEL_BUILDERS[model](n_data))
+    """CNOTs of the fixed-entangler ``baseline`` ansatz at ceil(n_data/2) layers."""
     entangler = register_pool(n_data, n_data, True)[-1]
-    return n_data + math.ceil(n_data / 2) * (cost.cnot_cost + entangler.cnot_cost)
+    hamiltonian = MODEL_BUILDERS[model](n_data)
+    layers = [entangler] * math.ceil(n_data / 2)
+    return cnot_count(Ansatz.layered("baseline", hamiltonian, layers))
 
 
-def _columns(rows: list[dict], *columns: str) -> tuple[str, list[tuple]]:
+def _columns(rows: list[ResultRecord], *columns: str) -> tuple[str, list[tuple]]:
     """A series of CSV columns against ``beta_inv``: its header and sorted rows."""
     columns = ("beta_inv",) + columns
-    return " ".join(columns), sorted(tuple(r[c] for c in columns) for r in rows)
+    series = sorted(tuple(getattr(r, c) for c in columns) for r in rows)
+    return " ".join(columns), series
 
 
-def _rows_by_model(rows: list[dict]) -> list[tuple[str, list[dict]]]:
+def _rows_by_model(rows: list[ResultRecord]) -> list[tuple[str, list[ResultRecord]]]:
     """Rows grouped by model, in model order, each group of one ``n_data``.
 
     A series is named by model alone, so rows of two register sizes would
     merge into one unlabelled series; such a model is refused.
     """
     groups = []
-    for model in sorted({r["model"] for r in rows}):
-        model_rows = [r for r in rows if r["model"] == model]
-        sizes = sorted({r["n_data"] for r in model_rows})
+    for model in sorted({r.model for r in rows}):
+        model_rows = [r for r in rows if r.model == model]
+        sizes = sorted({r.n_data for r in model_rows})
         if len(sizes) > 1:
             raise ConfigError(
                 f"{model} rows span n_data {sizes}; emit their sweeps separately"
@@ -658,39 +681,37 @@ def _rows_by_model(rows: list[dict]) -> list[tuple[str, list[dict]]]:
     return groups
 
 
-def _fig1(rows: list[dict], traces_dir: Path) -> _Table:
-    vqe_rows = [
-        r for r in rows if r["algorithm"] == "vqe" and r["truncation"] == "exact"
-    ]
+def _fig1(rows: list[ResultRecord], traces_dir: Path) -> _Table:
+    vqe_rows = [r for r in rows if r.algorithm == "vqe" and r.truncation == "exact"]
     if not vqe_rows:
         raise ConfigError("fig1 needs exact-target vqe rows")
     table: _Table = {}
     for model, model_rows in _rows_by_model(vqe_rows):
-        for a in sorted({r["n_ancilla"] for r in model_rows}):
-            cell = [r for r in model_rows if r["n_ancilla"] == a]
+        for a in sorted({r.n_ancilla for r in model_rows}):
+            cell = [r for r in model_rows if r.n_ancilla == a]
             table[f"{model}_fidelity_na{a}.dat"] = _columns(cell, "fidelity")
             table[f"{model}_bound_na{a}.dat"] = _columns(cell, "max_fidelity_bound")
         table[f"{model}_cnots.dat"] = _columns(model_rows, "n_ancilla", "cnot_count")
-        overlay = _fixed_mixer_cnots(model, model_rows[0]["n_data"])
+        overlay = _fixed_mixer_cnots(model, model_rows[0].n_data)
         table[f"{model}_fixed_mixer_cnots.dat"] = (
             "beta_inv cnot_count",
-            [(b, overlay) for b in sorted({r["beta_inv"] for r in model_rows})],
+            [(b, overlay) for b in sorted({r.beta_inv for r in model_rows})],
         )
     return table
 
 
-def _truncation_suffix(row: dict) -> str:
-    return "" if row["truncation"] == "exact" else f"_m{row['truncation']}"
+def _truncation_suffix(row: ResultRecord) -> str:
+    return "" if row.truncation == "exact" else f"_m{row.truncation}"
 
 
-def _fig2(rows: list[dict], traces_dir: Path) -> _Table:
-    rows = sorted(rows, key=lambda r: r["beta_inv"])
-    qaoa_rows = [r for r in rows if r["algorithm"] == "qaoa"]
+def _fig2(rows: list[ResultRecord], traces_dir: Path) -> _Table:
+    rows = sorted(rows, key=lambda r: r.beta_inv)
+    qaoa_rows = [r for r in rows if r.algorithm == "qaoa"]
     if not qaoa_rows:
         raise ConfigError("fig2 needs qaoa rows")
     # Truncated rows are named as in fig3; a name two rows share is refused.
     names = [
-        f"qaoa_fidelity_binv{r['beta_inv']:g}{_truncation_suffix(r)}.dat"
+        f"qaoa_fidelity_binv{r.beta_inv:g}{_truncation_suffix(r)}.dat"
         for r in qaoa_rows
     ]
     shared = sorted({n for n in names if names.count(n) > 1})
@@ -702,7 +723,7 @@ def _fig2(rows: list[dict], traces_dir: Path) -> _Table:
     # One CNOT series per algorithm and truncation order, named like the above:
     # the CNOTs of the first record that reaches CONVERGED_FIDELITY.
     to_target: dict[str, list[tuple]] = {}
-    baseline_rows = [r for r in rows if r["algorithm"] == "baseline"]
+    baseline_rows = [r for r in rows if r.algorithm == "baseline"]
     for row, name in zip_longest(qaoa_rows + baseline_rows, names):
         records = _load_postselected_trace(traces_dir, row)["records"]
         if name is not None:
@@ -714,29 +735,27 @@ def _fig2(rows: list[dict], traces_dir: Path) -> _Table:
             r["cnot_count"] for r in records if r["fidelity"] >= CONVERGED_FIDELITY
         ]
         if reached:
-            stem = f"{row['algorithm']}_cnots_to_target{_truncation_suffix(row)}"
-            to_target.setdefault(f"{stem}.dat", []).append(
-                (row["beta_inv"], reached[0])
-            )
+            stem = f"{row.algorithm}_cnots_to_target{_truncation_suffix(row)}"
+            to_target.setdefault(f"{stem}.dat", []).append((row.beta_inv, reached[0]))
     header = f"beta_inv cnot_count_to_fidelity_{CONVERGED_FIDELITY}"
     table.update((name, (header, series)) for name, series in to_target.items())
     return table
 
 
-def _fig3(rows: list[dict], traces_dir: Path) -> _Table:
-    vqe_rows = [r for r in rows if r["algorithm"] == "vqe"]
+def _fig3(rows: list[ResultRecord], traces_dir: Path) -> _Table:
+    vqe_rows = [r for r in rows if r.algorithm == "vqe"]
     if not vqe_rows:
         raise ConfigError("fig3 needs vqe rows")
     table: _Table = {}
     for model, model_rows in _rows_by_model(vqe_rows):
-        for trunc in sorted({r["truncation"] for r in model_rows}):
+        for a, trunc in sorted({(r.n_ancilla, r.truncation) for r in model_rows}):
             suffix = "minf" if trunc == "exact" else f"m{trunc}"
-            table[f"{model}_infidelity_{suffix}.dat"] = (
+            table[f"{model}_infidelity_na{a}_{suffix}.dat"] = (
                 "beta_inv infidelity",
                 sorted(
-                    (r["beta_inv"], max(1.0 - r["fidelity"], INFIDELITY_FLOOR))
+                    (r.beta_inv, max(1.0 - r.fidelity, INFIDELITY_FLOOR))
                     for r in model_rows
-                    if r["truncation"] == trunc
+                    if (r.n_ancilla, r.truncation) == (a, trunc)
                 ),
             )
     return table
@@ -756,18 +775,23 @@ def emit_plot_data(
     ``fig2``: per temperature, fidelity vs layer (from the postselected
     traces; truncated rows get an ``_m{order}`` suffix), plus CNOTs to reach
     99% fidelity vs temperature.
-    ``fig3``: per model and truncation order, infidelity vs temperature,
-    with ``exact`` rows emitted as the untruncated series.
+    ``fig3``: per model, ancilla count ``a`` and truncation order,
+    infidelity vs temperature in ``{model}_infidelity_na{a}_minf.dat``
+    (``exact`` rows) or ``{model}_infidelity_na{a}_m{order}.dat``.
 
     The panel's whole table is computed before ``out_dir`` is made, so a
     panel that fails (no matching rows, a missing trace, a file name two
     rows share, fig1/fig3 rows of one model at two ``n_data``) writes
-    nothing. A malformed or unreadable input, or an output path that cannot
-    be written, is a :class:`ConfigError` naming the file. Returns the
-    written paths in write order.
+    nothing. An unreadable input, a CSV without the writer's header, a row
+    that ``ResultRecord`` refuses (a fidelity above its rank bound, say), two
+    rows for one ``(run_id, config_hash)``, or an output path that cannot be
+    written, is a :class:`ConfigError` naming the file. Returns the written
+    paths in write order.
     """
     csv_path = Path(csv_path)
-    rows = _read_csv(csv_path)
+    rows = _read_results(csv_path)
+    if not rows:
+        raise ConfigError(f"{csv_path} contains no data rows")
     if panel not in _PANELS:
         expected = ", ".join(PANELS)
         raise ConfigError(f"unknown panel {panel!r}; expected one of {expected}")
@@ -793,9 +817,9 @@ def _is_trace(payload) -> bool:
     )
 
 
-def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:
+def _load_postselected_trace(traces_dir: Path, row: ResultRecord) -> dict:
     """Locate the restart trace of the row's run_id, config_hash and seed."""
-    key = f"{row['run_id']}.{row['config_hash']}"
+    key = f"{row.run_id}.{row.config_hash}"
     matches = sorted(traces_dir.glob(f"{key}.r*.json"))
     if not matches:
         raise ConfigError(f"no trace files for {key} under {traces_dir}")
@@ -809,6 +833,6 @@ def _load_postselected_trace(traces_dir: Path, row: dict) -> dict:
                 f"{path} is not a trace object with a seed and a non-empty list of "
                 "records, each with a numeric index, fidelity and cnot_count"
             )
-        if payload["seed"] == row["seed"]:
+        if payload["seed"] == row.seed:
             return payload
-    raise ConfigError(f"no trace with seed {row['seed']} for {key}")
+    raise ConfigError(f"no trace with seed {row.seed} for {key}")

@@ -72,14 +72,6 @@ class HermitianOperator:
             a.commutes_with(b) for i, a in enumerate(words) for b in words[i + 1 :]
         )
 
-    def shifted_to(self, n_qubits: int, offset: int) -> "HermitianOperator":
-        """Same operator with every support index moved up by ``offset``."""
-        terms = tuple(
-            (c, PauliString(tuple(q + offset for q in p.support), p.letters))
-            for c, p in self.terms
-        )
-        return HermitianOperator(n_qubits, terms)
-
 
 @cache
 def _eigensystem(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +132,11 @@ def entangling_hamiltonian(n_data: int) -> HermitianOperator:
 def joint_problem_hamiltonian(h_data: HermitianOperator) -> HermitianOperator:
     """``H (x) 1 + 1 (x) H``: the problem Hamiltonian on both registers."""
     n = h_data.n_qubits
-    return HermitianOperator(2 * n, h_data.terms + h_data.shifted_to(2 * n, n).terms)
+    on_ancillas = tuple(
+        (c, PauliString(tuple(q + n for q in p.support), p.letters))
+        for c, p in h_data.terms
+    )
+    return HermitianOperator(2 * n, h_data.terms + on_ancillas)
 
 
 @dataclass(frozen=True)

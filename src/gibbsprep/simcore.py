@@ -243,29 +243,24 @@ def partial_trace_ancilla(state: StateVector) -> DensityMatrix:
     )
 
 
-def _checked_eigvalsh(matrix: np.ndarray, what: str) -> np.ndarray:
-    values = np.linalg.eigvalsh(matrix)
-    if values[0] < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"{what} has eigenvalue {values[0]} below {EIGENVALUE_FLOOR}; "
-            "invalid state upstream"
-        )
-    return np.clip(values, 0.0, None)
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2``.
 
-    Eigenvalues of either argument in ``[-1e-9, 0)`` are clamped to zero;
-    anything below that raises, since it signals a bug upstream rather than
-    partial-trace rounding. ``sqrt(sigma)`` is ``sigma``'s cached
-    :attr:`DensityMatrix.sqrt`, so a fixed target pays its ``eigh`` once.
+    An eigenvalue of either argument below ``-1e-9`` raises, since it
+    signals a bug upstream rather than partial-trace rounding. ``sqrt(sigma)``
+    is ``sigma``'s cached :attr:`DensityMatrix.sqrt`, which clamps the
+    eigenvalues in ``[-1e-9, 0)``, so a fixed target pays its ``eigh`` once.
     Eigenvalues of ``sqrt(sigma) rho sqrt(sigma)`` below ``dim * eps * max``
     (the ``matrix_rank`` cutoff) are dropped.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    _checked_eigvalsh(rho.entries, "rho")
+    lowest = np.linalg.eigvalsh(rho.entries)[0]
+    if lowest < EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"rho has eigenvalue {lowest} below {EIGENVALUE_FLOOR}; "
+            "invalid state upstream"
+        )
     sqrt_sigma = sigma.sqrt
     inner = sqrt_sigma @ rho.entries @ sqrt_sigma
     values = np.linalg.eigvalsh(inner)

@@ -400,10 +400,10 @@ class TestCostLayer:
     def test_rejects_cost_that_is_not_mirrored(self):
         n = 2
         h = ising_hamiltonian(n)
-        on_ancillas = h.shifted_to(2 * n, n).terms
+        on_ancillas = joint_problem_hamiltonian(h).terms[len(h.terms):]
         reweighted = tuple((2.0 * c, p) for c, p in on_ancillas)
         for n_ancilla, cost in (
-            (n, h.shifted_to(2 * n, 0)),  # data register only
+            (n, HermitianOperator(2 * n, h.terms)),  # data register only
             (n, HermitianOperator(2 * n, h.terms + reweighted)),
             (n + 1, joint_problem_hamiltonian(h)),
         ):

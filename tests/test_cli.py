@@ -204,6 +204,24 @@ class TestSweepCommands:
         assert "header" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rerun_into_the_same_out_is_refused(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        argv = ["vqe-gibbs", "--model", "ising", "--n_data", "2", "--n_ancilla", "1",
+                "--beta_inv_list", "1.0,2.0", "--restarts", "1", "--workers", workers,
+                "--out", str(out)]
+        assert main(argv) == 0
+        written = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(written) == 1 + 2  # the CSV and one trace per cell
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(out / "results.csv") in err and "vqe_ising_nd2_na1_b0" in err
+        assert "write to another --out" in err
+        after = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert after == written
+
+
 class TestImports:
     @staticmethod
     @functools.cache
@@ -385,6 +403,47 @@ class TestUnreadableInputs:
         argv = ["plotdata", "--csv", str(out / "results.csv"), "--panel", "fig2",
                 "--out", str(tmp_path / "plot")]
         refused(capsys, argv, trace)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:1] + [",".join(r.split(",")[::-1]) for r in lines[1:]],
+            lambda lines: ["# another tool's comment", *lines],
+            lambda lines: lines[1:],
+        ],
+        ids=["reordered-columns", "foreign-comment", "no-schema-comment"],
+    )
+    def test_foreign_csv_header(self, sweep_outputs, tmp_path, capsys, edit):
+        out = shutil.copytree(sweep_outputs / "vqe", tmp_path / "vqe")
+        csv = out / "results.csv"
+        csv.write_text("\n".join(edit(csv.read_text().splitlines())) + "\n")
+        argv = ["plotdata", "--csv", str(csv), "--panel", "fig1", "--out", str(tmp_path)]
+        refused(capsys, argv, csv)
+
+    def test_row_above_its_rank_bound(self, sweep_outputs, tmp_path, capsys):
+        from gibbsprep.harness import CSV_COLUMNS
+
+        out = shutil.copytree(sweep_outputs / "vqe", tmp_path / "vqe")
+        csv = out / "results.csv"
+        comment, header, row = csv.read_text().splitlines()
+        values = row.split(",")
+        values[CSV_COLUMNS.index("max_fidelity_bound")] = "0.5"
+        csv.write_text("\n".join([comment, header, ",".join(values)]) + "\n")
+        argv = ["plotdata", "--csv", str(csv), "--panel", "fig1", "--out", str(tmp_path)]
+        refused(capsys, argv, f"{csv}:3")
+        assert not list(tmp_path.glob("*.dat"))
+
+    def test_duplicated_row(self, sweep_outputs, tmp_path, capsys):
+        out = shutil.copytree(sweep_outputs / "vqe", tmp_path / "vqe")
+        csv = out / "results.csv"
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(lines + lines[2:]) + "\n")
+        series = tmp_path / "series"
+        argv = ["plotdata", "--csv", str(csv), "--panel", "fig1", "--out", str(series)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{csv}:4" in err and "vqe_ising_nd2_na1_b0" in err
+        assert not series.exists()
 
     def test_csv_path_is_a_directory(self, sweep_outputs, tmp_path, capsys):
         out = sweep_outputs / "vqe"

@@ -234,7 +234,7 @@ class TestResultRecord:
 
     @pytest.mark.parametrize("pool_grad_norm", [1e-4, float("nan")])
     def test_row_reads_back_bit_exactly(self, tmp_path, pool_grad_norm):
-        from gibbsprep.harness import _read_csv
+        from gibbsprep.harness import _read_results
 
         record = self._record(
             beta_inv=0.1 + 0.2,
@@ -245,10 +245,11 @@ class TestResultRecord:
             wall_ms=1e-300 / 3,
         )
         path = tmp_path / "results.csv"
-        path.write_text(",".join(CSV_COLUMNS) + "\n" + record.to_csv_row() + "\n")
-        (row,) = _read_csv(path)
+        header = [CSV_SCHEMA_COMMENT, ",".join(CSV_COLUMNS)]
+        path.write_text("\n".join(header + [record.to_csv_row()]) + "\n")
+        (row,) = _read_results(path)
         for column in CSV_COLUMNS:
-            written, read = getattr(record, column), row[column]
+            written, read = getattr(record, column), getattr(row, column)
             assert type(read) is type(written), column
             if isinstance(written, float):
                 assert struct.pack("<d", read) == struct.pack("<d", written), column
@@ -360,7 +361,7 @@ class TestRunSweep:
             run_sweep(config)
 
     def test_sweeps_differing_in_truncation_keep_their_own_traces(self, tmp_path):
-        from gibbsprep.harness import _load_postselected_trace, _read_csv
+        from gibbsprep.harness import _load_postselected_trace, _read_results
 
         out = tmp_path / "out"
         for truncation in ("exact", 3):
@@ -368,15 +369,15 @@ class TestRunSweep:
                 tiny_config(algorithm="qaoa", n_ancilla=(2,), layer_budget=1,
                             truncation=truncation, out=str(out))
             )
-        rows = _read_csv(out / "results.csv")
-        assert [r["truncation"] for r in rows] == ["exact", "3"]
-        assert rows[0]["run_id"] == rows[1]["run_id"]
-        assert rows[0]["seed"] == rows[1]["seed"]
+        rows = _read_results(out / "results.csv")
+        assert [r.truncation for r in rows] == ["exact", "3"]
+        assert rows[0].run_id == rows[1].run_id
+        assert rows[0].seed == rows[1].seed
         assert len(list((out / "traces").glob("*.json"))) == 2
         for row in rows:
             trace = _load_postselected_trace(out / "traces", row)
-            assert trace["truncation"] == row["truncation"]
-            assert trace["config_hash"] == row["config_hash"]
+            assert trace["truncation"] == row.truncation
+            assert trace["config_hash"] == row.config_hash
             assert trace["postselected"]
 
     def test_trace_files_keep_their_restart_index_after_a_failure(
@@ -432,6 +433,22 @@ class TestRunSweep:
             run_sweep(tiny_config(out=str(out)))
         header = [CSV_SCHEMA_COMMENT, ",".join(CSV_COLUMNS)]
         assert (out / "results.csv").read_text().splitlines() == header
+
+    def test_csv_reads_back_as_the_records_the_sweep_returned(self, tmp_path):
+        from gibbsprep.harness import _read_results
+
+        out = tmp_path / "out"
+        returned = run_sweep(tiny_config(n_ancilla=(1, 2), out=str(out)))
+        for algorithm in ("qaoa", "baseline"):  # baseline rows have no pool norm
+            returned += run_sweep(
+                tiny_config(algorithm=algorithm, n_ancilla=(2,), layer_budget=1,
+                            out=str(out))
+            )
+        assert math.isnan(returned[-1].pool_grad_norm)
+        read = _read_results(out / "results.csv")
+        # Rows compare as text: a NaN pool norm is never equal to itself.
+        assert [r.to_csv_row() for r in read] == [r.to_csv_row() for r in returned]
+        assert [r.algorithm for r in read] == ["vqe", "vqe", "qaoa", "baseline"]
 
     def test_append_rejects_foreign_header(self, tmp_path):
         out = tmp_path / "out"
@@ -807,17 +824,24 @@ class TestEmitPlotData:
         assert not (tmp_path / "plot").exists()
 
     def test_fig3_series_per_truncation(self, sweep_outputs, tmp_path):
+        # One series per ancilla count and truncation order, one point per
+        # temperature in each: the fixture sweeps na 1 and 2 at exact, na 1 at m3.
         written = emit_plot_data(sweep_outputs / "results.csv", "fig3", tmp_path)
-        names = [p.name for p in written]
-        assert "ising_infidelity_minf.dat" in names
-        assert "ising_infidelity_m3.dat" in names
-        body = (tmp_path / "ising_infidelity_minf.dat").read_text().splitlines()
-        values = [float(line.split()[1]) for line in body[1:]]
-        assert all(v >= 1e-16 for v in values)
+        assert [p.name for p in written] == [
+            "ising_infidelity_na1_m3.dat",
+            "ising_infidelity_na1_minf.dat",
+            "ising_infidelity_na2_minf.dat",
+        ]
+        for path in written:
+            body = path.read_text().splitlines()
+            assert body[0] == "# beta_inv infidelity"
+            points = [tuple(map(float, line.split())) for line in body[1:]]
+            assert [b for b, _ in points] == [0.5, 1.0], path.name
+            assert all(v >= 1e-16 for _, v in points)
 
     def test_empty_csv_rejected(self, tmp_path):
         csv_path = tmp_path / "results.csv"
-        csv_path.write_text("# comment\n" + ",".join(CSV_COLUMNS) + "\n")
+        csv_path.write_text(CSV_SCHEMA_COMMENT + "\n" + ",".join(CSV_COLUMNS) + "\n")
         with pytest.raises(ConfigError, match="no data rows"):
             emit_plot_data(csv_path, "fig1", tmp_path / "series")
         assert not (tmp_path / "series").exists()
@@ -825,7 +849,7 @@ class TestEmitPlotData:
     def test_missing_columns_rejected(self, tmp_path):
         csv_path = tmp_path / "results.csv"
         csv_path.write_text("run_id,model\nx,y\n")
-        with pytest.raises(ConfigError, match="missing columns"):
+        with pytest.raises(ConfigError, match="header"):
             emit_plot_data(csv_path, "fig1", tmp_path / "series")
 
     def test_unknown_panel_rejected(self, sweep_outputs, tmp_path):
