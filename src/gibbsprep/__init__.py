@@ -31,13 +31,9 @@ from .adapt import (
     adapt_qaoa_run,
     adapt_vqe_run,
     baseline_qaoa_run,
-    build_qaoa_pool,
-    build_vqe_pool,
     cnot_count,
     optimize_fixed_ansatz,
     restart_postselect,
-    singlet_reference_state,
-    vqe_reference_state,
 )
 from .models import (
     GibbsTarget,
@@ -85,8 +81,6 @@ __all__ = [
     "adapt_vqe_run",
     "auxiliary_objective",
     "baseline_qaoa_run",
-    "build_qaoa_pool",
-    "build_vqe_pool",
     "cnot_count",
     "entangling_hamiltonian",
     "fidelity",
@@ -100,8 +94,6 @@ __all__ = [
     "pauli_rotation",
     "restart_postselect",
     "shift_rule_gradient",
-    "singlet_reference_state",
     "truncated_target",
-    "vqe_reference_state",
     "xy_hamiltonian",
 ]

@@ -87,7 +87,10 @@ CNOT_CONVENTION = {
     "vqe_two_qubit_generator": 2,
     "vqe_single_qubit_generator": 0,
     "layered_reference": "n_data (one CNOT per singlet pair)",
-    "layered_cost": "2 per two-qubit term of the data-register Hamiltonian",
+    "layered_cost": (
+        "2 per two-qubit term of the data-register Hamiltonian; for one whose "
+        "terms do not commute, the count of one product of per-term rotations"
+    ),
     "layered_pauli_mixer": 2,
     "layered_entangler_mixer": "3 per data/ancilla pair",
 }

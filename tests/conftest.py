@@ -4,7 +4,8 @@ The kron-based builders here deliberately avoid the package's own
 permutation-table machinery so that tests cross-check two implementations.
 Little-endian convention: qubit 0 is the least-significant bit, so the
 highest qubit is the first factor in the Kronecker product. The gradient
-helpers are central differences and the shift-rule candidate gradient.
+helpers are central differences and the shift-rule candidate gradient;
+``replayed_objective`` scores a persisted trace's replayed state.
 """
 
 import numpy as np
@@ -13,11 +14,15 @@ import pytest
 from gibbsprep import (
     Ansatz,
     DensityMatrix,
+    ObjectiveContext,
     StateVector,
+    gibbs_state,
     objective,
     partial_trace_ancilla,
     shift_rule_gradient,
+    truncated_target,
 )
+from gibbsprep.harness import MODEL_BUILDERS, replay_state
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -76,6 +81,20 @@ def without_wall_ms(trace):
     """
     records = [{k: v for k, v in r.items() if k != "wall_ms"} for r in trace["records"]]
     return {**trace, "records": records}
+
+
+def replayed_objective(payload):
+    """The objective of a persisted trace's replayed state, against the target it names."""
+    n_data, n_ancilla = (payload["metadata"][k] for k in ("n_data", "n_ancilla"))
+    hamiltonian = MODEL_BUILDERS[payload["model"]](n_data)
+    beta = 1.0 / payload["beta_inv"]
+    if payload["truncation"] == "exact":
+        target = gibbs_state(hamiltonian, beta)
+    else:
+        target = truncated_target(hamiltonian, beta, int(payload["truncation"]))
+    state = replay_state(payload, n_data, n_ancilla)
+    ctx = ObjectiveContext(target, n_data, n_ancilla)
+    return objective(partial_trace_ancilla(state), ctx)
 
 
 def central_difference(prepare, params, ctx, h=1e-5):

@@ -10,8 +10,6 @@ from gibbsprep import (
     NumericalFailure,
     ObjectiveContext,
     PauliString,
-    build_qaoa_pool,
-    build_vqe_pool,
     adapt_qaoa_run,
     adapt_vqe_run,
     baseline_qaoa_run,
@@ -28,8 +26,6 @@ from gibbsprep import (
     pauli_rotation,
     restart_postselect,
     shift_rule_gradient,
-    singlet_reference_state,
-    vqe_reference_state,
     xy_hamiltonian,
 )
 from gibbsprep.adapt import (
@@ -45,7 +41,12 @@ from gibbsprep.adapt import (
     VqeSettings,
     _apply_gate,
     ansatz_value_and_gradient,
+    build_qaoa_pool,
+    build_vqe_pool,
     reference_from_angles,
+    register_pool,
+    singlet_reference_state,
+    vqe_reference_state,
 )
 
 from conftest import (
@@ -87,6 +88,7 @@ class TestPools:
 
     def test_vqe_pool_sorted_unique_low_weight(self):
         pool = build_vqe_pool(4)
+        assert register_pool(2, 2, False) == pool
         words = [op.pauli for op in pool]
         assert words == sorted(words)
         assert len(set(words)) == len(words)
@@ -103,6 +105,7 @@ class TestPools:
     def test_qaoa_pool_structure(self):
         n = 3
         pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+        assert register_pool(n, n, True) == pool
         assert pool[-1].kind == "sum_entangler"
         for op in pool[:-1]:
             d, a = op.pauli.support
@@ -225,17 +228,9 @@ class TestAnsatzGradients:
     def test_layered_gradient_matches_finite_difference(self, rng):
         n = 2
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(n), 0.9), n, n)
-        pool = build_qaoa_pool(n, entangling_hamiltonian(n))
-        ansatz = Ansatz(
-            flavor="qaoa",
-            n_data=n,
-            n_ancilla=n,
-            reference=singlet_reference_state(n),
-            reference_spec={"kind": "singlet"},
-            generators=[pool[3], pool[-1]],  # one Pauli mixer, one entangler
-            parameters=np.zeros(4),
-            cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n)),
-        )
+        pool = register_pool(n, n, True)
+        # One Pauli mixer, one entangler.
+        ansatz = Ansatz.layered("qaoa", ising_hamiltonian(n), [pool[3], pool[-1]])
         params = rng.uniform(-0.8, 0.8, 4)
         _, grad = ansatz_value_and_gradient(ansatz, params, ctx)
         assert np.abs(grad - central_difference(ansatz.prepare, params, ctx)).max() < 1e-6
@@ -243,15 +238,8 @@ class TestAnsatzGradients:
     def test_layered_accepts_noncommuting_cost(self):
         n = 3
         assert not xy_hamiltonian(n).terms_commute
-        ansatz = Ansatz(
-            flavor="baseline",
-            n_data=n,
-            n_ancilla=n,
-            reference=singlet_reference_state(n),
-            reference_spec={"kind": "singlet"},
-            generators=[build_qaoa_pool(n, entangling_hamiltonian(n))[-1]],
-            cost_operator=joint_problem_hamiltonian(xy_hamiltonian(n)),
-        )
+        entangler = register_pool(n, n, True)[-1]
+        ansatz = Ansatz.layered("baseline", xy_hamiltonian(n), [entangler])
         assert ansatz.cost_gate.hamiltonian == xy_hamiltonian(n)
         assert ansatz.prepare(np.array([0.3, -0.2])).n_total == 2 * n
 
@@ -277,19 +265,6 @@ class TestAnsatzGradients:
         )
         after = ansatz.prepare(np.append(params, 0.0))
         assert np.array_equal(before.amplitudes, after.amplitudes)
-
-
-def layered_ansatz(flavor, n, h_data, generators, params):
-    return Ansatz(
-        flavor=flavor,
-        n_data=n,
-        n_ancilla=n,
-        reference=singlet_reference_state(n),
-        reference_spec={"kind": "singlet"},
-        generators=list(generators),
-        parameters=params,
-        cost_operator=joint_problem_hamiltonian(h_data),
-    )
 
 
 def cost_model(name, n):
@@ -333,12 +308,12 @@ class TestCostLayer:
     @pytest.mark.parametrize("model", ["ising", "xx", "complex", "xy"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_dense_exponential(self, model, n, rng):
-        ansatz = layered_ansatz("baseline", n, cost_model(model, n), [], np.zeros(0))
-        h = ansatz.cost_gate.hamiltonian
+        h = cost_model(model, n)
+        cost = Ansatz.layered("baseline", h).cost_gate
+        assert cost.hamiltonian == h
         assert h.terms_commute == (model != "xy")
         assert (h.diagonal is None) == (model != "ising")
-        cost = ansatz.cost_gate
-        joint = dense_operator(ansatz.cost_operator)
+        joint = dense_operator(joint_problem_hamiltonian(h))
         psi = random_state(n, n, rng).amplitudes
         lam = random_state(n, n, rng).amplitudes
         gamma = rng.uniform(-np.pi, np.pi)
@@ -352,7 +327,7 @@ class TestCostLayer:
 
     def test_diagonal_phase_action(self, rng):
         n, gamma = 3, 0.74
-        ansatz = layered_ansatz("baseline", n, ising_hamiltonian(n), [], np.zeros(0))
+        ansatz = Ansatz.layered("baseline", ising_hamiltonian(n))
         # independent diagonal: energies from spin enumeration
         energies = np.empty(8)
         for z in range(8):
@@ -367,10 +342,10 @@ class TestCostLayer:
     @pytest.mark.parametrize("model", ["ising", "xx", "complex", "xy"])
     def test_spectrum_values_index_the_energies(self, model):
         n = 3
-        ansatz = layered_ansatz("baseline", n, cost_model(model, n), [], np.zeros(0))
-        energies, values, index = ansatz.cost_gate.spectrum
+        h = cost_model(model, n)
+        energies, values, index = Ansatz.layered("baseline", h).cost_gate.spectrum
         assert np.array_equal(values[index], energies)
-        generator = dense_operator(ansatz.cost_operator) / 2
+        generator = dense_operator(joint_problem_hamiltonian(h)) / 2
         assert np.abs(np.sort(energies) - np.linalg.eigvalsh(generator)).max() <= 1e-13
 
     def test_diagonal_cost_builds_no_eigensystem(self, rng):
@@ -378,9 +353,9 @@ class TestCostLayer:
         n = 3
         h_data = ising_hamiltonian(n)
         ctx = ObjectiveContext(gibbs_state(h_data, 0.7), n, n)
-        pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+        pool = register_pool(n, n, True)
         params = rng.uniform(-np.pi, np.pi, 4)
-        ansatz = layered_ansatz("qaoa", n, h_data, [pool[-1], pool[5]], params)
+        ansatz = Ansatz.layered("qaoa", h_data, [pool[-1], pool[5]], params)
         ansatz_value_and_gradient(ansatz, params, ctx)
         # The gate is shared per H, so the H it holds is the one that matters.
         built = ansatz.cost_gate.hamiltonian.__dict__.keys()
@@ -389,13 +364,34 @@ class TestCostLayer:
     def test_equal_hamiltonians_share_one_cost_gate(self):
         n = 2
         first, second = (
-            layered_ansatz(flavor, n, ising_hamiltonian(n), [], np.zeros(0))
-            for flavor in ("qaoa", "baseline")
+            Ansatz.layered(flavor, ising_hamiltonian(n)) for flavor in ("qaoa", "baseline")
         )
         assert first.cost_operator is not second.cost_operator
         assert first.cost_gate is second.cost_gate
-        other = layered_ansatz("qaoa", n, cost_model("xx", n), [], np.zeros(0))
+        other = Ansatz.layered("qaoa", cost_model("xx", n))
         assert other.cost_gate is not first.cost_gate
+
+    def test_accepts_the_mirrored_cost_by_hand(self, rng):
+        # The hand-built form, as the benchmark's probes build it, is the
+        # constructor's ansatz: the same gates and the same state, bit for bit.
+        n = 3
+        h = ising_hamiltonian(n)
+        pool = register_pool(n, n, True)
+        generators, params = [pool[-1], pool[5]], rng.uniform(0.0, np.pi / 2, 4)
+        by_hand = Ansatz(
+            flavor="qaoa",
+            n_data=n,
+            n_ancilla=n,
+            reference=singlet_reference_state(n),
+            reference_spec={"kind": "singlet"},
+            generators=generators,
+            parameters=params,
+            cost_operator=joint_problem_hamiltonian(h),
+        )
+        built = Ansatz.layered("qaoa", h, generators, params)
+        assert by_hand.gates == built.gates and by_hand.cost_gate is built.cost_gate
+        assert by_hand.reference_spec == built.reference_spec
+        assert np.array_equal(by_hand.prepare().amplitudes, built.prepare().amplitudes)
 
     def test_rejects_cost_that_is_not_mirrored(self):
         n = 2
@@ -438,20 +434,20 @@ class TestAdjointEngine:
         n = 3
         h_data = ising_hamiltonian(n)
         ctx = ObjectiveContext(gibbs_state(h_data, 0.7), n, n)
-        entangler = build_qaoa_pool(n, entangling_hamiltonian(n))[-1]
+        entangler = register_pool(n, n, True)[-1]
         params = rng.uniform(-np.pi, np.pi, 6)
-        ansatz = layered_ansatz("baseline", n, h_data, [entangler] * 3, params)
+        ansatz = Ansatz.layered("baseline", h_data, [entangler] * 3, params)
         self.check(ansatz, params, ctx)
 
     def test_qaoa_with_nondiagonal_commuting_cost(self, rng):
         n = 3
-        pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+        pool = register_pool(n, n, True)
         mixers = [pool[-1], pool[5], weighted_entangler(n)]
         for model in ("xx", "complex"):
             h_data = cost_model(model, n)
             ctx = ObjectiveContext(gibbs_state(h_data, 1.3), n, n)
             params = rng.uniform(-np.pi, np.pi, 6)
-            ansatz = layered_ansatz("qaoa", n, h_data, mixers, params)
+            ansatz = Ansatz.layered("qaoa", h_data, mixers, params)
             assert ansatz.cost_gate.hamiltonian.diagonal is None
             self.check(ansatz, params, ctx)
             # The cost layer comes from the data register: nothing 2n-qubit is built.
@@ -463,9 +459,9 @@ class TestAdjointEngine:
         n = 3
         h_data = xy_hamiltonian(n)
         ctx = ObjectiveContext(gibbs_state(h_data, 1.0), n, n)
-        pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+        pool = register_pool(n, n, True)
         params = rng.uniform(-np.pi, np.pi, 6)
-        ansatz = layered_ansatz("qaoa", n, h_data, [pool[-1], pool[7], pool[-1]], params)
+        ansatz = Ansatz.layered("qaoa", h_data, [pool[-1], pool[7], pool[-1]], params)
         value, grad = ansatz_value_and_gradient(ansatz, params, ctx)
         assert value == objective(partial_trace_ancilla(ansatz.prepare(params)), ctx)
         assert np.abs(grad - central_difference(ansatz.prepare, params, ctx)).max() < 1e-6
@@ -474,7 +470,7 @@ class TestAdjointEngine:
 
     def test_hundred_layer_vqe(self, rng):
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(3), 1.1), 3, 2)
-        pool = build_vqe_pool(5)
+        pool = register_pool(3, 2, False)
         paulis = [pool[int(i)].pauli for i in rng.integers(0, len(pool), 100)]
         params = rng.uniform(-np.pi, np.pi, 100)
         self.check(make_vqe_ansatz(3, 2, paulis, params, rng), params, ctx)
@@ -485,12 +481,12 @@ class TestAdjointEngine:
             ising_hamiltonian(n) if n > 1
             else HermitianOperator(1, ((-1.0, PauliString((0,), "Z")),))
         )
-        entangler = build_qaoa_pool(n, entangling_hamiltonian(n))[-1]
+        entangler = register_pool(n, n, True)[-1]
         params = rng.uniform(-np.pi, np.pi, 4)
-        ansatz = layered_ansatz("baseline", n, h_data, [entangler] * 2, params)
+        ansatz = Ansatz.layered("baseline", h_data, [entangler] * 2, params)
         # The singlet is an eigenstate of the entangler; start elsewhere.
         ansatz.reference = random_state(n, n, rng)
-        cost_diagonal = np.diag(dense_operator(ansatz.cost_operator))
+        cost_diagonal = np.diag(dense_operator(joint_problem_hamiltonian(h_data)))
         state = ansatz.reference
         for gamma, alpha in params.reshape(-1, 2):
             state = state.with_amplitudes(
@@ -506,7 +502,7 @@ class TestAdjointEngine:
 
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(4), 0.8), 4, 4)
         state = random_state(4, 4, rng)
-        pool = build_vqe_pool(8) + (weighted_entangler(4),)
+        pool = register_pool(4, 4, False) + (weighted_entangler(4),)
         fast = _pool_scan(state, pool, ctx, _terms_by_support(pool))
         slow = [candidate_gradient(state, op, ctx) for op in pool]
         assert np.abs(fast - slow).max() <= 1e-12
@@ -530,7 +526,7 @@ class TestBellFrame:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_frame_phase_is_the_dense_exponential(self, n, rng):
-        uniform = build_qaoa_pool(n, entangling_hamiltonian(n))[-1]
+        uniform = register_pool(n, n, True)[-1]
         for op in (uniform, weighted_entangler(n)):
             alpha = rng.uniform(-np.pi, np.pi)
             ansatz = self.entangler_only(n, [op], [alpha], rng)
@@ -543,7 +539,7 @@ class TestBellFrame:
         assert np.array_equal(values[index], energies)
         assert np.array_equal(np.unique(energies), values)
         # Uniform weights: pair energies 1, 1, 1, -3, so n + 1 distinct sums.
-        _, values, _ = build_qaoa_pool(3, entangling_hamiltonian(3))[-1].spectrum
+        _, values, _ = register_pool(3, 3, True)[-1].spectrum
         assert values.tolist() == [-9.0, -5.0, -1.0, 3.0]
 
     def test_from_entangler_rejects_terms_off_the_pairs(self):
@@ -558,7 +554,7 @@ class TestBellFrame:
 
         n = 3
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(n), 0.9), n, n)
-        generators = [build_qaoa_pool(n, entangling_hamiltonian(n))[-1]]
+        generators = [register_pool(n, n, True)[-1]]
         generators.append(weighted_entangler(n))
         params = rng.uniform(-np.pi, np.pi, 2)
         ansatz = self.entangler_only(n, generators, params, rng)
@@ -577,7 +573,7 @@ class TestPoolScan:
         for n in (2, 3):
             ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(n), 0.9), n, n)
             state = random_state(n, n, rng)
-            pool = build_qaoa_pool(n, entangling_hamiltonian(n))
+            pool = register_pool(n, n, True)
             fast = _pool_scan(state, pool, ctx, _terms_by_support(pool))
             for j, op in enumerate(pool):
                 assert abs(fast[j] - candidate_gradient(state, op, ctx)) < 1e-12
@@ -588,7 +584,7 @@ class TestPoolScan:
 
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(5), 0.9), 5, 5)
         state = random_state(5, 5, rng)
-        pools = build_qaoa_pool(5, entangling_hamiltonian(5)), build_vqe_pool(10)
+        pools = register_pool(5, 5, True), register_pool(5, 5, False)
         before = pauli_action_tables.cache_info()
         for pool in pools:
             _pool_scan(state, pool, ctx, _terms_by_support(pool))
@@ -777,7 +773,7 @@ class TestAdaptVqeRun:
 
     def test_objective_monotone_and_selection_consistent(self, monkeypatch):
         ctx = ObjectiveContext(gibbs_state(xy_hamiltonian(2), 0.8), 2, 2)
-        pool = build_vqe_pool(4)
+        pool = register_pool(2, 2, False)
         settings = VqeSettings(epsilon=1e-3)
         scans = record_scans(monkeypatch)
         ansatz, trace = adapt_vqe_run(settings, ctx, ctx.target, seed=5)
@@ -860,14 +856,14 @@ def test_growth_runs_scan_the_register_pool(monkeypatch):
     ctx = ObjectiveContext(target, 2, 2)
     _, trace = adapt_vqe_run(VqeSettings(epsilon=1e-3), ctx, target, seed=5)
     assert len(scans) == len(trace.records)
-    assert all(pool == build_vqe_pool(4) and size == 66 for pool, size in scans)
+    assert all(pool is register_pool(2, 2, False) and size == 66 for pool, size in scans)
     assert trace.final_fidelity > 0.9999
     scans.clear()
     target = gibbs_state(ising_hamiltonian(3), 1.0)
     ctx = ObjectiveContext(target, 3, 3)
     _, trace = adapt_qaoa_run(qaoa_settings(3, 1), ctx, target, seed=5)
     ((pool, size),) = scans
-    assert pool == build_qaoa_pool(3, entangling_hamiltonian(3)) and size == 82
+    assert pool is register_pool(3, 3, True) and size == 82
     assert pool[-1].label == ENTANGLER_LABEL
     assert trace.final_fidelity > 0.9999
 
@@ -1127,30 +1123,12 @@ class TestCnotCount:
 
     def test_layered_accounting_six_sites(self):
         n = 6
-        entangler = PoolOperator.from_entangler(entangling_hamiltonian(n), n)
-        ansatz = Ansatz(
-            flavor="baseline",
-            n_data=n,
-            n_ancilla=n,
-            reference=singlet_reference_state(n),
-            reference_spec={"kind": "singlet"},
-            generators=[entangler] * 3,
-            parameters=np.zeros(6),
-            cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n)),
-        )
+        entangler = register_pool(n, n, True)[-1]
+        ansatz = Ansatz.layered("baseline", ising_hamiltonian(n), [entangler] * 3)
         assert cnot_count(ansatz) == 6 + 3 * (12 + 18)
 
     def test_layered_pauli_mixer_costs_two(self):
         n = 2
-        pool = build_qaoa_pool(n, entangling_hamiltonian(n))
-        ansatz = Ansatz(
-            flavor="qaoa",
-            n_data=n,
-            n_ancilla=n,
-            reference=singlet_reference_state(n),
-            reference_spec={"kind": "singlet"},
-            generators=[pool[0]],
-            parameters=np.zeros(2),
-            cost_operator=joint_problem_hamiltonian(ising_hamiltonian(n)),
-        )
+        pool = register_pool(n, n, True)
+        ansatz = Ansatz.layered("qaoa", ising_hamiltonian(n), [pool[0]])
         assert cnot_count(ansatz) == 2 + (2 * 2 + 2)

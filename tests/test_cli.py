@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from gibbsprep.cli import main
+from gibbsprep.harness import CSV_COLUMNS
 
 
 @pytest.fixture
@@ -104,6 +105,15 @@ class TestSweepCommands:
         bad.write_text("model = heisenberg\n")
         assert main(["vqe-gibbs", "--config", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        # The sweep command takes its algorithm from the file.
+        for line, message in (
+            ("algorithm = annealing", "unknown algorithm 'annealing'"),
+            ("n_data 2", f"{bad}:2: expected 'key = value'"),
+        ):
+            bad.write_text(f"model = ising\n{line}\n")
+            assert main(["sweep", "--config", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and len(err.splitlines()) == 1
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -129,6 +139,10 @@ class TestSweepCommands:
             (["--restarts", "0"], "restarts"),
             (["--n_ancilla", ","], "n_ancilla"),
             (["--beta_inv_list", ","], "beta_inv_list"),
+            (["--n_data", "1"], "n_data"),
+            (["--layer_budget", "7"], "layer_budget"),
+            (["--truncation", "-1"], "truncation"),
+            (["--workers", "0"], "workers"),
         ],
     )
     def test_out_of_range_value_exit_code(self, overrides, key, tmp_path, capsys):
@@ -321,6 +335,25 @@ class TestPlotdataCommand:
             assert not series.exists()
             assert "ising rows span n_data [2, 3]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "panel, sweep, message",
+        [
+            ("fig1", "qaoa", "fig1 needs exact-target vqe rows"),
+            ("fig2", "vqe", "fig2 needs qaoa rows"),
+            ("fig3", "qaoa", "fig3 needs vqe rows"),
+        ],
+    )
+    def test_panel_without_its_rows(
+        self, sweep_outputs, tmp_path, capsys, panel, sweep, message
+    ):
+        series = tmp_path / "series"
+        argv = ["plotdata", "--csv", str(sweep_outputs / sweep / "results.csv"),
+                "--panel", panel, "--out", str(series)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not series.exists()
+
     def test_missing_csv_is_config_error(self, tmp_path):
         code = main(
             [
@@ -334,6 +367,13 @@ class TestPlotdataCommand:
             ]
         )
         assert code == 2
+
+
+def with_field(row: str, column: str, value: str) -> str:
+    """A results CSV row with ``column`` set to ``value``."""
+    values = row.split(",")
+    values[CSV_COLUMNS.index(column)] = value
+    return ",".join(values)
 
 
 def refused(capsys, argv, path) -> None:
@@ -371,8 +411,9 @@ class TestUnreadableInputs:
             (lambda row: row.replace(",ising,2,", ",ising,two,", 1), 3),
             (lambda row: row + "\nvqe_ising_nd2_na1_b0,abc", 4),
             (lambda row: row + ",1", 3),
+            (lambda row: with_field(row, "fidelity", "-0.5"), 3),
         ],
-        ids=["unparsable-value", "short-row", "surplus-field"],
+        ids=["unparsable-value", "short-row", "surplus-field", "fidelity-below-zero"],
     )
     def test_malformed_csv_row(self, sweep_outputs, tmp_path, capsys, edit, line):
         out = shutil.copytree(sweep_outputs / "vqe", tmp_path / "vqe")
@@ -421,14 +462,11 @@ class TestUnreadableInputs:
         refused(capsys, argv, csv)
 
     def test_row_above_its_rank_bound(self, sweep_outputs, tmp_path, capsys):
-        from gibbsprep.harness import CSV_COLUMNS
-
         out = shutil.copytree(sweep_outputs / "vqe", tmp_path / "vqe")
         csv = out / "results.csv"
         comment, header, row = csv.read_text().splitlines()
-        values = row.split(",")
-        values[CSV_COLUMNS.index("max_fidelity_bound")] = "0.5"
-        csv.write_text("\n".join([comment, header, ",".join(values)]) + "\n")
+        row = with_field(row, "max_fidelity_bound", "0.5")
+        csv.write_text("\n".join([comment, header, row]) + "\n")
         argv = ["plotdata", "--csv", str(csv), "--panel", "fig1", "--out", str(tmp_path)]
         refused(capsys, argv, f"{csv}:3")
         assert not list(tmp_path.glob("*.dat"))

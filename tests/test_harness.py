@@ -20,7 +20,6 @@ from gibbsprep import (
     joint_problem_hamiltonian,
     objective,
     partial_trace_ancilla,
-    singlet_reference_state,
     truncated_target,
 )
 from gibbsprep.adapt import ENTANGLER_LABEL, GROWTH_RUNS, CostGate
@@ -43,7 +42,7 @@ from gibbsprep.harness import (
     run_sweep,
 )
 
-from conftest import without_wall_ms
+from conftest import replayed_objective, without_wall_ms
 
 
 def tiny_config(**overrides):
@@ -476,6 +475,8 @@ class TestRunSweep:
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
         value = objective(partial_trace_ancilla(state), ctx)
         assert abs(value - records[0].objective) < 1e-12
+        with pytest.raises(ValueError, match="qaoa trace needs n_ancilla == n_data"):
+            replay_state(payload, config.n_data, 1)
 
     def test_replay_builds_no_pool_operator(self, monkeypatch, tmp_path):
         # Replay looks its generators up in the pool the sweep already built.
@@ -526,20 +527,6 @@ class TestRunSweep:
         payload["generator_labels"][-1] = label
         with pytest.raises(ValueError, match=f"generator '{label}' is not in"):
             replay_state(payload, config.n_data, n_ancilla)
-
-
-def replayed_objective(payload: dict) -> float:
-    """The objective of a trace's replayed state, against the target it names."""
-    n_data, n_ancilla = (payload["metadata"][k] for k in ("n_data", "n_ancilla"))
-    hamiltonian = MODEL_BUILDERS[payload["model"]](n_data)
-    beta = 1.0 / payload["beta_inv"]
-    if payload["truncation"] == "exact":
-        target = gibbs_state(hamiltonian, beta)
-    else:
-        target = truncated_target(hamiltonian, beta, int(payload["truncation"]))
-    state = replay_state(payload, n_data, n_ancilla)
-    ctx = ObjectiveContext(target, n_data, n_ancilla)
-    return objective(partial_trace_ancilla(state), ctx)
 
 
 @pytest.fixture
@@ -751,15 +738,8 @@ class TestEmitPlotData:
 
         entangler = PoolOperator.from_entangler(entangling_hamiltonian(n_data), n_data)
         for model, build in sorted(MODEL_BUILDERS.items()):
-            ansatz = Ansatz(
-                flavor="baseline",
-                n_data=n_data,
-                n_ancilla=n_data,
-                reference=singlet_reference_state(n_data),
-                reference_spec={"kind": "singlet"},
-                generators=[entangler] * math.ceil(n_data / 2),
-                cost_operator=joint_problem_hamiltonian(build(n_data)),
-            )
+            layers = [entangler] * math.ceil(n_data / 2)
+            ansatz = Ansatz.layered("baseline", build(n_data), layers)
             assert _fixed_mixer_cnots(model, n_data) == cnot_count(ansatz)
 
     def test_fig1_xy_overlay_is_pinned(self):
@@ -818,6 +798,13 @@ class TestEmitPlotData:
         )
         # The later row's only restart, hence its postselected trace.
         (trace,) = (out / "traces").glob("qaoa_ising_nd2_na2_b1.*.json")
+        payload = json.loads(trace.read_text())
+        seed = payload["seed"]
+        payload["seed"] += 1  # as if of another restart
+        trace.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"no trace with seed {seed} for"):
+            emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
+        assert not (tmp_path / "plot").exists()
         trace.unlink()
         with pytest.raises(ConfigError, match="no trace files"):
             emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")

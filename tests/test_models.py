@@ -16,10 +16,10 @@ from gibbsprep import (
     joint_problem_hamiltonian,
     max_fidelity_bound,
     partial_trace_ancilla,
-    singlet_reference_state,
     truncated_target,
     xy_hamiltonian,
 )
+from gibbsprep.adapt import singlet_reference_state
 
 from conftest import dense_operator, dense_pauli
 

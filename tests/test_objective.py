@@ -17,17 +17,15 @@ from gibbsprep import (
     PoolOperator,
     StateVector,
     auxiliary_objective,
-    build_vqe_pool,
     entangling_hamiltonian,
     gibbs_state,
     ising_hamiltonian,
     objective,
     partial_trace_ancilla,
     shift_rule_gradient,
-    singlet_reference_state,
     xy_hamiltonian,
 )
-from gibbsprep.adapt import CostGate
+from gibbsprep.adapt import CostGate, register_pool, singlet_reference_state
 from conftest import (
     basis_state,
     candidate_gradient,
@@ -176,7 +174,7 @@ class TestCandidateGradient:
     def test_zero_at_exact_target_purification(self):
         ctx = make_ctx(beta=0.9)
         state = purification(ctx.target, 2)
-        for op in build_vqe_pool(4):
+        for op in register_pool(2, 2, False):
             assert abs(candidate_gradient(state, op, ctx)) < 1e-12
 
     def test_ancilla_only_rotation_cannot_change_data(self, rng):
