@@ -53,11 +53,13 @@ from .objective import ObjectiveContext, objective, objective_raw
 from .simcore import (
     PauliString,
     StateVector,
+    bell_diagonal,
     fidelity,
     from_bell_raw,
     partial_trace_ancilla,
     partial_trace_ancilla_raw,
     pauli_action_tables,
+    pauli_rotate_raw,
     to_bell_raw,
 )
 
@@ -128,27 +130,18 @@ class PoolOperator:
     def from_entangler(
         cls, operator: HermitianOperator, n_data: int
     ) -> "PoolOperator":
-        """A sum of ``XX``, ``YY`` and ``ZZ`` terms on the pairs ``(k, n_data + k)``.
-
-        That is the form the pair Bell basis diagonalises
-        (:attr:`spectrum`); any other term raises ``ValueError``.
-        """
+        """A sum of the pair terms :func:`~gibbsprep.simcore.bell_diagonal` takes."""
         if operator.n_qubits != 2 * n_data:
             raise ValueError(f"entangler must act on {2 * n_data} qubits")
-        pairs = {(k, n_data + k) for k in range(n_data)}
-        for _, p in operator.terms:
-            if p.support not in pairs or p.letters not in ("XX", "YY", "ZZ"):
-                raise ValueError(
-                    f"entangler term {p.label} is not XX, YY or ZZ on a pair "
-                    f"(k, {n_data} + k)"
-                )
-        return cls(
+        entangler = cls(
             kind="sum_entangler",
             pauli=None,
             operator=operator,
             cnot_cost=3 * n_data,
             label=ENTANGLER_LABEL,
         )
+        entangler.spectrum  # raises ValueError for any other term
+        return entangler
 
     @property
     def terms(self) -> tuple[tuple[float, PauliString], ...]:
@@ -160,20 +153,11 @@ class PoolOperator:
         """The entangler's diagonal in the pair Bell basis of ``bell_frame``.
 
         Returns ``(energies, values, index)``: ``energies`` over the frame's
-        amplitudes, equal to ``values[index]`` with ``values`` the distinct
-        ones, so a phase ``exp(i a energies)`` takes one exponential per
-        distinct value. With ``x_k`` the ancilla bit and ``y_k`` the data bit
-        of pair k, ``XX = (-1)^x``, ``ZZ = (-1)^y`` and ``YY = -(-1)^(x+y)``
-        (:func:`~gibbsprep.simcore.bell_frame`).
+        amplitudes (:func:`~gibbsprep.simcore.bell_diagonal`), equal to
+        ``values[index]`` with ``values`` the distinct ones, so a phase
+        ``exp(i a energies)`` takes one exponential per distinct value.
         """
-        n = self.operator.n_qubits // 2
-        x, y = np.divmod(np.arange(1 << 2 * n), 1 << n)
-        energies = np.zeros(x.size)
-        for c, p in self.operator.terms:
-            k = p.support[0]
-            bits = {"XX": x >> k, "ZZ": y >> k, "YY": (x ^ y) >> k}[p.letters] & 1
-            energies += (-c if p.letters == "YY" else c) * (1.0 - 2.0 * bits)
-        return _spectrum(energies)
+        return _spectrum(bell_diagonal(self.operator.n_qubits // 2, self.operator.terms))
 
     def to_frame(self, amps: np.ndarray) -> np.ndarray:
         return to_bell_raw(amps, self.operator.n_qubits // 2)
@@ -535,16 +519,16 @@ def _apply_gate(
 
 
 def _value_and_costate(
-    amps: np.ndarray, ctx: ObjectiveContext, n_ancilla: int
+    amps: np.ndarray, ctx: ObjectiveContext
 ) -> tuple[float, np.ndarray]:
     """C at ``amps`` and the costate ``lam = ((rho - T) x 1_A) psi``.
 
     ``dC = 2 Re<lam|d psi>``, so a gate ``exp(i theta G)`` whose output is
     ``psi`` contributes ``dC/dtheta = -2 Im<lam|G psi>``.
     """
-    rho = partial_trace_ancilla_raw(amps, ctx.n_data, n_ancilla)
+    rho = partial_trace_ancilla_raw(amps, ctx.n_data, ctx.n_ancilla)
     w = rho - ctx.target.matrix
-    block = amps.reshape(1 << n_ancilla, 1 << ctx.n_data)
+    block = amps.reshape(1 << ctx.n_ancilla, 1 << ctx.n_data)
     return objective_raw(rho, ctx), (block @ w.T).reshape(-1)
 
 
@@ -580,16 +564,14 @@ def ansatz_value_and_gradient(
     params = np.asarray(params, dtype=np.float64)
     tape: list = []
     psi = ansatz._build_raw(params, tape)
-    value, lam = _value_and_costate(psi, ctx, ansatz.n_ancilla)
+    value, lam = _value_and_costate(psi, ctx)
     gates, thetas = ansatz.gates, params.tolist()
     grad = np.zeros(len(gates))
     for k in reversed(range(len(gates))):
         gate, theta = gates[k], thetas[k]
         moved, aux = tape[k]
         if gate.kind == "pauli":
-            source, phase = aux
-            moved_lam = phase * lam[source]
-            lam = np.cos(theta) * lam - (1j * np.sin(theta)) * moved_lam
+            lam = pauli_rotate_raw(lam, *aux, -theta)
             grad[k] = -2.0 * np.vdot(lam, moved).imag
         else:
             lam_frame = gate.to_frame(lam)
@@ -878,7 +860,7 @@ def _pool_scan(
     :func:`_terms_by_support` of ``pool``.
     """
     psi = state.amplitudes
-    _, lam = _value_and_costate(psi, ctx, state.n_ancilla)
+    _, lam = _value_and_costate(psi, ctx)
     psi_lam = np.stack([psi, lam.conj()])
     rows, groups = groups
     inner = np.concatenate(

@@ -13,10 +13,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .simcore import DensityMatrix, PauliString, pauli_action_tables
-
-TARGET_TRACE_ATOL = 1e-10
-TARGET_HERMITICITY_ATOL = 1e-10
+from .simcore import DensityMatrix, PauliString, pauli_action_tables, unit_trace_matrix
 
 
 @dataclass(frozen=True)
@@ -155,15 +152,10 @@ class GibbsTarget:
     def __post_init__(self):
         if self.mode not in ("exact", "truncated"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        matrix = np.asarray(self.matrix, dtype=np.complex128)
-        if abs(matrix.trace() - 1.0) > TARGET_TRACE_ATOL:
-            raise ValueError("target trace deviates from 1")
-        if np.abs(matrix - matrix.conj().T).max() > TARGET_HERMITICITY_ATOL:
-            raise ValueError("target is not Hermitian")
-        if self.mode == "exact" and self.eigenvalues[-1] <= 0:
-            raise ValueError("exact target must have strictly positive spectrum")
-        matrix.setflags(write=False)
+        matrix = unit_trace_matrix(self.matrix, "target")
         eigs = np.asarray(self.eigenvalues, dtype=np.float64)
+        if self.mode == "exact" and not eigs[-1] > 0:
+            raise ValueError("exact target must have strictly positive spectrum")
         eigs.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "eigenvalues", eigs)

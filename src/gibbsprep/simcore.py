@@ -20,9 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-NORM_ATOL = 1e-10
-HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-10
+ATOL = 1e-10  # a state's norm, and a matrix's Hermiticity and trace
 EIGENVALUE_FLOOR = -1e-9
 
 
@@ -129,6 +127,26 @@ def bell_frame(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return cnot, h
 
 
+def bell_diagonal(n_pairs: int, terms) -> np.ndarray:
+    """Diagonal of ``sum_j c_j P_j`` over the ``[a, d]`` block of :func:`bell_frame`.
+
+    With ``x_k`` the ancilla bit and ``y_k`` the data bit of pair k, ``XX =
+    (-1)^x``, ``ZZ = (-1)^y`` and ``YY = -(-1)^(x+y)``; a term that is not one
+    of these on a pair ``(k, n_pairs + k)`` raises ``ValueError``.
+    """
+    x, y = np.divmod(np.arange(1 << 2 * n_pairs), 1 << n_pairs)
+    energies = np.zeros(x.size)
+    for c, p in terms:
+        k = p.support[0]
+        if p.support != (k, n_pairs + k) or p.letters not in ("XX", "YY", "ZZ"):
+            raise ValueError(
+                f"term {p.label} is not XX, YY or ZZ on a pair (k, {n_pairs} + k)"
+            )
+        bits = {"XX": x >> k, "ZZ": y >> k, "YY": (x ^ y) >> k}[p.letters] & 1
+        energies += (-c if p.letters == "YY" else c) * (1.0 - 2.0 * bits)
+    return energies
+
+
 def to_bell_raw(amplitudes: np.ndarray, n_pairs: int) -> np.ndarray:
     """Amplitudes in the pair Bell basis of :func:`bell_frame`: CNOTs, then H."""
     cnot, h = bell_frame(n_pairs)
@@ -165,8 +183,8 @@ class StateVector:
                 f"expected {1 << self.n_total} amplitudes, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
+        if not abs(norm - 1.0) <= ATOL:
+            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {ATOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -178,6 +196,23 @@ class StateVector:
         return StateVector(self.n_data, self.n_ancilla, amplitudes)
 
 
+def unit_trace_matrix(entries, what: str) -> np.ndarray:
+    """``entries`` as a read-only complex matrix: square, Hermitian, of unit trace.
+
+    Each check holds to ``ATOL`` and fails on NaN; ``ValueError`` names ``what``.
+    """
+    matrix = np.asarray(entries, dtype=np.complex128)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{what} must be square, got {matrix.shape}")
+    if not np.abs(matrix - matrix.conj().T).max() <= ATOL:
+        raise ValueError(f"{what} is not Hermitian")
+    trace = matrix.trace()
+    if not abs(trace - 1.0) <= ATOL:
+        raise ValueError(f"{what} trace {trace!r} deviates from 1")
+    matrix.setflags(write=False)
+    return matrix
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace matrix on the data register."""
@@ -185,18 +220,10 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"density matrix must be square, got {entries.shape}")
-        if np.abs(entries - entries.conj().T).max() > HERMITICITY_ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        trace = entries.trace()
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {trace!r} deviates from 1")
+        entries = unit_trace_matrix(self.entries, "density matrix")
         p = np.vdot(entries, entries).real
         if not (1.0 / entries.shape[0] - 1e-9 <= p <= 1.0 + 1e-9):
             raise ValueError(f"purity {p!r} outside [1/dim, 1]")
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -222,10 +249,8 @@ class DensityMatrix:
 
 def pauli_rotation(state: StateVector, p: PauliString, theta: float) -> StateVector:
     """Return ``exp(i theta P) |psi>`` using cos/sin closed form (P^2 = 1)."""
-    source, phase = pauli_action_tables(state.n_total, p.support, p.letters)
-    return state.with_amplitudes(
-        pauli_rotate_raw(state.amplitudes, source, phase, theta)
-    )
+    tables = pauli_action_tables(state.n_total, p.support, p.letters)
+    return state.with_amplitudes(pauli_rotate_raw(state.amplitudes, *tables, theta))
 
 
 def partial_trace_ancilla_raw(
