@@ -239,11 +239,11 @@ def max_fidelity_bound(target: GibbsTarget, n_ancilla: int) -> float:
 
     The reduced state of a pure state on D+A has rank at most 2^n_ancilla,
     and the optimum over such states is the sum of the top 2^n_ancilla
-    target eigenvalues.
+    target eigenvalues: exactly 1 once they are all of them.
     """
     if target.mode != "exact":
         raise ValueError("fidelity bound is defined for exact targets")
     if n_ancilla < 0:
         raise ValueError("n_ancilla must be >= 0")
-    k = min(1 << n_ancilla, target.dim)
-    return float(target.eigenvalues[:k].sum())
+    k = 1 << n_ancilla
+    return 1.0 if k >= target.dim else float(target.eigenvalues[:k].sum())

@@ -22,6 +22,7 @@ import numpy as np
 
 ATOL = 1e-10  # a state's norm, and a matrix's Hermiticity and trace
 EIGENVALUE_FLOOR = -1e-9
+FIDELITY_CEILING = 1.0 + 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -276,7 +277,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     is ``sigma``'s cached :attr:`DensityMatrix.sqrt`, which clamps the
     eigenvalues in ``[-1e-9, 0)``, so a fixed target pays its ``eigh`` once.
     Eigenvalues of ``sqrt(sigma) rho sqrt(sigma)`` below ``dim * eps * max``
-    (the ``matrix_rank`` cutoff) are dropped.
+    (the ``matrix_rank`` cutoff) are dropped. Likewise a result in ``(1, 1 +
+    1e-9]`` is clamped to 1, and one above raises.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -292,4 +294,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     # Eigenvalues under the numerical-rank cutoff are rounding noise; their
     # square roots (~1e-9 each) would push F(rho, rho) above 1.
     cutoff = inner.shape[0] * np.finfo(np.float64).eps * max(values[-1], 0.0)
-    return float(np.sqrt(values[values > cutoff]).sum() ** 2)
+    value = float(np.sqrt(values[values > cutoff]).sum() ** 2)
+    if not value <= FIDELITY_CEILING:
+        raise ValueError(f"fidelity {value} above {FIDELITY_CEILING}")
+    return min(value, 1.0)
