@@ -33,6 +33,7 @@ from gibbsprep.adapt import (
     DEFAULT_VQE_RESTARTS,
     ENTANGLER_LABEL,
     GROWTH_RUNS,
+    MAX_QAOA_LAYERS,
     TIE_TOLERANCE,
     AdaptTrace,
     IterationRecord,
@@ -1108,6 +1109,110 @@ class TestRestartPostselect:
     def test_protocol_default_restart_counts(self):
         assert DEFAULT_VQE_RESTARTS == 5
         assert DEFAULT_QAOA_RESTARTS == 8
+
+
+class _ZeroDraws:
+    """An rng stand-in whose every angle is 0: a pure, unentangled reference."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+def _ising_context(n_data, n_ancilla):
+    target = gibbs_state(ising_hamiltonian(n_data), 1.0)
+    return ObjectiveContext(target, n_data, n_ancilla)
+
+
+class TestRefusals:
+    """Each refusal in ``adapt``, reached by one case."""
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (
+                lambda: PoolOperator.from_entangler(entangling_hamiltonian(2), 3),
+                ValueError,
+                "entangler must act on 6 qubits",
+            ),
+            (
+                lambda: reference_from_angles(2, 1, np.zeros(2)),
+                ValueError,
+                "one angle per qubit",
+            ),
+            (
+                lambda: vqe_reference_state(2, 0, np.random.default_rng(0)),
+                ValueError,
+                "at least one ancilla",
+            ),
+            (
+                lambda: vqe_reference_state(2, 1, _ZeroDraws()),
+                NumericalFailure,
+                "could not draw a usable reference",
+            ),
+            (
+                lambda: Ansatz("adiabatic", 1, 1, basis_state(1, 1, 0), {}),
+                ValueError,
+                "unknown flavor 'adiabatic'",
+            ),
+            (
+                lambda: Ansatz("qaoa", 2, 2, singlet_reference_state(2), {}),
+                ValueError,
+                "qaoa ansatz needs a cost operator",
+            ),
+            (
+                lambda: Ansatz.vqe(1, 1, [0.0, 0.0]).prepare(np.zeros(1)),
+                ValueError,
+                "expected 0 parameters",
+            ),
+            (
+                lambda: optimize_fixed_ansatz(
+                    Ansatz.vqe(2, 1, np.zeros(3)), _ising_context(2, 1), np.zeros(1)
+                ),
+                ValueError,
+                "init has",
+            ),
+            (
+                lambda: QaoaSettings(ising_hamiltonian(2), -1),
+                ValueError,
+                "layer budget",
+            ),
+            (
+                lambda: QaoaSettings(ising_hamiltonian(2), MAX_QAOA_LAYERS + 1),
+                ValueError,
+                "layer budget",
+            ),
+            (
+                lambda: restart_postselect(lambda index: None, 0),
+                ValueError,
+                "at least one restart",
+            ),
+        ],
+        ids=[
+            "entangler-on-another-register",
+            "reference-angle-count",
+            "vqe-reference-without-ancilla",
+            "vqe-reference-without-usable-draw",
+            "ansatz-unknown-flavor",
+            "layered-ansatz-without-cost",
+            "prepare-parameter-shape",
+            "optimizer-init-shape",
+            "layer-budget-below-range",
+            "layer-budget-above-range",
+            "postselect-zero-restarts",
+        ],
+    )
+    def test_refuses(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_optimizer_refuses_a_non_finite_objective(self, monkeypatch):
+        def nan_value(ansatz, params, ctx):
+            return float("nan"), np.zeros(params.size)
+
+        monkeypatch.setattr(adapt, "ansatz_value_and_gradient", nan_value)
+        ansatz = Ansatz.vqe(2, 1, np.zeros(3))
+        with pytest.raises(NumericalFailure, match="non-finite objective"):
+            optimize_fixed_ansatz(ansatz, _ising_context(2, 1), np.zeros(0))
 
 
 class TestCnotCount:

@@ -80,6 +80,11 @@ class TestConfig:
         assert config.beta_inv_list == (0.5, 1.0)
         assert config.restarts == 3
 
+    def test_none_value_is_not_given(self):
+        # A flag that was not passed reaches build_config as None.
+        config = build_config({"n_data": "2", "restarts": None, "out": None})
+        assert config == build_config({"n_data": "2"})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             build_config({"modle": "ising"})
@@ -477,6 +482,19 @@ class TestRunSweep:
         assert abs(value - records[0].objective) < 1e-12
         with pytest.raises(ValueError, match="qaoa trace needs n_ancilla == n_data"):
             replay_state(payload, config.n_data, 1)
+
+    def test_replay_refuses_nan_parameters(self, tmp_path):
+        out = tmp_path / "out"
+        run_sweep(tiny_config(out=str(out)))
+        (path,) = (out / "traces").glob("*.json")
+        payload = json.loads(path.read_text())
+        nans = [math.nan] * len(payload["final_parameters"])
+        assert nans
+        # Python's json writes and reads a bare NaN.
+        text = json.dumps(payload | {"final_parameters": nans})
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="state norm .*nan"):
+            replay_state(json.loads(text), 2, 1)
 
     def test_replay_builds_no_pool_operator(self, monkeypatch, tmp_path):
         # Replay looks its generators up in the pool the sweep already built.

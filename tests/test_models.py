@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gibbsprep import (
+    GibbsTarget,
     HermitianOperator,
     PauliString,
     StateVector,
@@ -109,7 +110,16 @@ class TestXY:
         assert np.linalg.norm(comm) < 1e-12
 
 
+    def test_rejects_one_site(self):
+        with pytest.raises(ValueError, match="at least 2 sites"):
+            xy_hamiltonian(1)
+
+
 class TestEntangler:
+    def test_rejects_no_pairs(self):
+        with pytest.raises(ValueError, match="at least one data/ancilla pair"):
+            entangling_hamiltonian(0)
+
     def test_ground_energy_and_uniqueness(self):
         h = entangling_hamiltonian(2)
         w, _ = h.eigensystem
@@ -176,7 +186,37 @@ class TestGibbsState:
             gibbs_state(ising_hamiltonian(2), -0.5)
 
 
+class TestGibbsTargetChecks:
+    @pytest.mark.parametrize(
+        "mode, matrix, eigenvalues, match",
+        [
+            ("thermal", np.eye(2) / 2, [0.5, 0.5], "unknown mode 'thermal'"),
+            ("exact", np.eye(2) / 4, [0.25, 0.25], "target trace .* deviates from 1"),
+            ("exact", [[0.5, 0.1], [0.0, 0.5]], [0.55, 0.45], "target is not Hermitian"),
+            ("exact", np.full((2, 2), np.nan), [np.nan, np.nan], "not Hermitian"),
+            ("exact", np.eye(2) / 2, [np.nan, np.nan], "strictly positive spectrum"),
+        ],
+        ids=["bad-mode", "trace-not-one", "not-hermitian", "nan-matrix", "nan-spectrum"],
+    )
+    def test_refuses(self, mode, matrix, eigenvalues, match):
+        with pytest.raises(ValueError, match=match):
+            GibbsTarget(mode, matrix, eigenvalues)
+
+
 class TestTruncatedTarget:
+    @pytest.mark.parametrize(
+        "beta, order, match",
+        [
+            (1.0, -1, "truncation order must be >= 0"),
+            (-1.0, 2, "beta must be finite and >= 0"),
+            (float("nan"), 2, "beta must be finite and >= 0"),
+        ],
+        ids=["negative-order", "negative-beta", "nan-beta"],
+    )
+    def test_refuses(self, beta, order, match):
+        with pytest.raises(ValueError, match=match):
+            truncated_target(ising_hamiltonian(2), beta, order)
+
     def test_order_zero_is_maximally_mixed(self):
         t = truncated_target(xy_hamiltonian(3), 2.5, 0)
         assert np.allclose(t.matrix, np.eye(8) / 8, atol=1e-14)
@@ -240,6 +280,17 @@ class TestFidelityBound:
         target = gibbs_state(ising_hamiltonian(3), 1.0)
         assert abs(max_fidelity_bound(target, 3) - 1.0) < 1e-12
         assert abs(max_fidelity_bound(target, 5) - 1.0) < 1e-12
+
+    def test_is_exactly_one_when_every_eigenvalue_fits(self):
+        # Summed, the eigenvalues of this target read 0.99999999999999989.
+        target = gibbs_state(xy_hamiltonian(3), 1.0)
+        assert max_fidelity_bound(target, 3) == 1.0
+        assert max_fidelity_bound(target, 4) == 1.0
+        assert max_fidelity_bound(target, 2) < 1.0
+
+    def test_refuses_negative_ancillas(self):
+        with pytest.raises(ValueError, match="n_ancilla must be >= 0"):
+            max_fidelity_bound(gibbs_state(ising_hamiltonian(2), 1.0), -1)
 
     def test_flat_spectrum(self):
         target = gibbs_state(xy_hamiltonian(3), 0.0)

@@ -106,6 +106,12 @@ class TestObjective:
             objective(random_density(8, rng), ctx)
 
 
+    def test_context_refuses_a_target_of_another_register(self):
+        target = gibbs_state(ising_hamiltonian(2), 1.0)
+        with pytest.raises(ValueError, match="does not match 2\\^3 data qubits"):
+            ObjectiveContext(target, 3, 1)
+
+
 class TestAuxiliaryObjective:
     def test_equal_arguments_identity(self, rng):
         ctx = make_ctx()

@@ -12,7 +12,8 @@ from gibbsprep import (
     partial_trace_ancilla,
     pauli_rotation,
 )
-from gibbsprep.simcore import pauli_action_tables
+from gibbsprep import simcore
+from gibbsprep.simcore import bell_frame, pauli_action_tables
 
 from conftest import (
     basis_state,
@@ -49,6 +50,8 @@ class TestPauliString:
             PauliString((0,), "A")
         with pytest.raises(ValueError):
             PauliString((0, 1), "X")
+        with pytest.raises(ValueError, match="non-negative"):
+            PauliString((-1,), "X")
 
     def test_ordering_is_lexicographic(self):
         a = PauliString((0,), "X")
@@ -270,6 +273,18 @@ class TestMetrics:
                 assert abs(fidelity(rho, sigma) - reference(rho, sigma)) <= 1e-12
             assert "sqrt" in sigma.__dict__
 
+    def test_fidelity_within_the_ceiling_is_clamped_to_one(self):
+        # Trace 1 + 8e-11, within the 1e-10 a density matrix is allowed:
+        # F(rho, rho) computes to about 1 + 1.6e-10.
+        rho = DensityMatrix(np.eye(2) * (0.5 + 4e-11))
+        assert fidelity(rho, rho) == 1.0
+
+    def test_fidelity_above_the_ceiling_raises(self, monkeypatch):
+        rho = DensityMatrix(np.eye(2) * (0.5 + 4e-11))
+        monkeypatch.setattr(simcore, "FIDELITY_CEILING", 1.0 + 1e-11)
+        with pytest.raises(ValueError, match="fidelity .* above"):
+            fidelity(rho, rho)
+
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(4) / 4))
@@ -298,3 +313,17 @@ class TestInvariants:
             DensityMatrix(np.diag([0.5, 0.6]))
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="must be square"):
+            DensityMatrix(np.ones((2, 4)) / 2)
+        with pytest.raises(ValueError, match="purity"):
+            DensityMatrix(np.diag([1.5, -0.5]))
+
+    def test_nan_fails_every_check(self):
+        with pytest.raises(ValueError, match="state norm"):
+            StateVector(1, 1, [np.nan] * 4)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan))
+
+    def test_bell_frame_needs_a_pair(self):
+        with pytest.raises(ValueError, match="at least one data/ancilla pair"):
+            bell_frame(0)
