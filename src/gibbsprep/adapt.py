@@ -150,13 +150,7 @@ class PoolOperator:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entangler's diagonal in the pair Bell basis of ``bell_frame``.
-
-        Returns ``(energies, values, index)``: ``energies`` over the frame's
-        amplitudes (:func:`~gibbsprep.simcore.bell_diagonal`), equal to
-        ``values[index]`` with ``values`` the distinct ones, so a phase
-        ``exp(i a energies)`` takes one exponential per distinct value.
-        """
+        """The entangler's pair Bell basis diagonal, as :func:`_spectrum` gives it."""
         return _spectrum(bell_diagonal(self.operator.n_qubits // 2, self.operator.terms))
 
     def to_frame(self, amps: np.ndarray) -> np.ndarray:
@@ -167,7 +161,11 @@ class PoolOperator:
 
 
 def _spectrum(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(energies, values, index)`` with ``values[index] == energies``, read-only."""
+    """``(energies, values, index)`` with ``values[index] == energies``, read-only.
+
+    ``values`` are the distinct energies, so a frame phase ``exp(i a energies)``
+    takes one exponential per distinct value.
+    """
     values, index = np.unique(energies, return_inverse=True)
     for array in (energies, values, index):
         array.setflags(write=False)

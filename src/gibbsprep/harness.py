@@ -609,14 +609,9 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
             return objective(partial_trace_ancilla(ansatz.prepare(x)), ctx)
 
         exact = shift_rule_gradient(ansatz, params, ctx)
-        h = 1e-5
-        deviations = np.zeros(params.size)
-        for index in range(params.size):
-            plus, minus = params.copy(), params.copy()
-            plus[index] += h
-            minus[index] -= h
-            approx = (value_at(plus) - value_at(minus)) / (2 * h)
-            deviations[index] = abs(exact[index] - approx)
+        steps = 1e-5 * np.eye(params.size)
+        approx = [(value_at(params + e) - value_at(params - e)) / 2e-5 for e in steps]
+        deviations = np.abs(exact - approx)
         _, adjoint = ansatz_value_and_gradient(ansatz, params, ctx)
         entries.append(
             GradcheckTrial(

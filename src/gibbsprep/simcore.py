@@ -270,15 +270,13 @@ def partial_trace_ancilla(state: StateVector) -> DensityMatrix:
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2``.
+    """Uhlmann fidelity ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2``, at most 1.
 
-    An eigenvalue of either argument below ``-1e-9`` raises, since it
-    signals a bug upstream rather than partial-trace rounding. ``sqrt(sigma)``
-    is ``sigma``'s cached :attr:`DensityMatrix.sqrt`, which clamps the
-    eigenvalues in ``[-1e-9, 0)``, so a fixed target pays its ``eigh`` once.
-    Eigenvalues of ``sqrt(sigma) rho sqrt(sigma)`` below ``dim * eps * max``
-    (the ``matrix_rank`` cutoff) are dropped. Likewise a result in ``(1, 1 +
-    1e-9]`` is clamped to 1, and one above raises.
+    An eigenvalue of either argument below ``-1e-9``, or a result above ``1 +
+    1e-9``, raises: it signals a bug upstream rather than rounding, which is
+    clamped. ``sqrt(sigma)`` is ``sigma``'s cached :attr:`DensityMatrix.sqrt`,
+    so a fixed target pays its ``eigh`` once. Eigenvalues of ``sqrt(sigma) rho
+    sqrt(sigma)`` below ``dim * eps * max`` (the ``matrix_rank`` cutoff) are dropped.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
