@@ -9,10 +9,9 @@ results CSV into per-curve series files.
 Every config-file key can be overridden by a flag of the same name. Exit
 codes: 0 success, 2 configuration error, 3 numerical failure.
 
-numpy's OpenBLAS runs a thread per core unless told otherwise, and on these small
-matrices an unpinned process can stall: on a 2-vCPU host a 0.05 s sweep took 1.13 s
-and a 64 x 64 ``eigh`` 24 ms, not 0.3 ms. The benchmark and CI pin one thread;
-for timed runs, set ``OPENBLAS_NUM_THREADS=1``.
+An unpinned OpenBLAS (a thread per core) can stall on these small matrices: on
+2 vCPUs a 0.05 s sweep took 1.13 s, a 64 x 64 ``eigh`` 24 ms instead of 0.3 ms.
+The benchmark and CI pin one thread; for timed runs set ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ class StateVector:
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= ATOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {ATOL}")
+            raise ValueError(f"state norm {float(norm)!r} is not 1 within {ATOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -209,7 +209,7 @@ def unit_trace_matrix(entries, what: str) -> np.ndarray:
         raise ValueError(f"{what} is not Hermitian")
     trace = matrix.trace()
     if not abs(trace - 1.0) <= ATOL:
-        raise ValueError(f"{what} trace {trace!r} deviates from 1")
+        raise ValueError(f"{what} trace {complex(trace)!r} deviates from 1")
     matrix.setflags(write=False)
     return matrix
 
@@ -223,8 +223,9 @@ class DensityMatrix:
     def __post_init__(self):
         entries = unit_trace_matrix(self.entries, "density matrix")
         p = np.vdot(entries, entries).real
-        if not (1.0 / entries.shape[0] - 1e-9 <= p <= 1.0 + 1e-9):
-            raise ValueError(f"purity {p!r} outside [1/dim, 1]")
+        # A unit-trace Hermitian matrix has purity >= 1/dim: only the top can fail.
+        if not p <= 1.0 + 1e-9:
+            raise ValueError(f"purity {float(p)!r} above 1")
         object.__setattr__(self, "entries", entries)
 
     @property
