@@ -1,8 +1,8 @@
 """The golden CLI runs, whose outputs are committed under ``tests/golden/``.
 
 Four small sweeps append to one output directory, ``plotdata`` writes the
-``fig2`` and ``fig3`` series of their CSV, and a short ``gradcheck`` runs;
-every command's stdout is kept too. ``tests/test_golden.py`` reruns them
+``fig1``, ``fig2`` and ``fig3`` series of their CSV, and a short ``gradcheck``
+runs; every command's stdout is kept too. ``tests/test_golden.py`` reruns them
 through ``gibbsprep.cli.main`` and compares every output with the committed
 one exactly, except for timing: the CSV's ``wall_ms`` column and each trace
 record's ``wall_ms``.
@@ -36,7 +36,7 @@ SWEEPS = (
     ("qaoa_xy", ["qaoa-gibbs", *_XY3, "--layer_budget", "2"]),
     ("baseline_xy", ["baseline", *_XY3, "--layer_budget", "2"]),
 )
-PANELS = ("fig2", "fig3")
+PANELS = ("fig1", "fig2", "fig3")
 GRADCHECK = ["gradcheck", "--seed", "1234", "--trials", "8"]
 
 # Stands for the run's root directory in the stdout it prints.
