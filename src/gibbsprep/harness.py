@@ -43,9 +43,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
-from itertools import zip_longest
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -71,7 +70,7 @@ from .models import (
     xy_hamiltonian,
 )
 from .objective import ObjectiveContext, objective, shift_rule_gradient
-from .simcore import StateVector, partial_trace_ancilla
+from .simcore import FIDELITY_CEILING, StateVector, partial_trace_ancilla
 
 MODEL_BUILDERS = {"ising": ising_hamiltonian, "xy": xy_hamiltonian}
 MODEL_CODES = {"ising": 0, "xy": 1}
@@ -262,7 +261,7 @@ class ResultRecord:
     wall_ms: float
 
     def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-9:
+        if not 0.0 <= self.fidelity <= FIDELITY_CEILING:
             raise NumericalFailure(f"fidelity {self.fidelity} outside [0, 1]")
         if self.fidelity > self.max_fidelity_bound + 1e-6:
             raise NumericalFailure(
@@ -630,9 +629,8 @@ def gradcheck(seed: int, trials: int) -> GradcheckReport:
 INFIDELITY_FLOOR = 1e-16
 CONVERGED_FIDELITY = 0.99
 
-
-# A panel's series files: file name -> (column header, rows), in write order.
-_Table = dict[str, tuple[str, list[tuple]]]
+# One model's series of a panel: (file name, column header, rows), in write order.
+_Series = Iterator[tuple[str, str, list[tuple]]]
 
 
 def _write_series(path: Path, header: str, rows: list[tuple]) -> Path:
@@ -658,71 +656,36 @@ def _columns(rows: list[ResultRecord], *columns: str) -> tuple[str, list[tuple]]
     return " ".join(columns), series
 
 
-def _rows_by_model(rows: list[ResultRecord]) -> list[tuple[str, list[ResultRecord]]]:
-    """Rows grouped by model, in model order, each group of one ``n_data``.
-
-    A series is named by model alone, so rows of two register sizes would
-    merge into one unlabelled series; such a model is refused.
-    """
-    groups = []
-    for model in sorted({r.model for r in rows}):
-        model_rows = [r for r in rows if r.model == model]
-        sizes = sorted({r.n_data for r in model_rows})
-        if len(sizes) > 1:
-            raise ConfigError(
-                f"{model} rows span n_data {sizes}; emit their sweeps separately"
-            )
-        groups.append((model, model_rows))
-    return groups
-
-
-def _fig1(rows: list[ResultRecord], traces_dir: Path) -> _Table:
-    vqe_rows = [r for r in rows if r.algorithm == "vqe" and r.truncation == "exact"]
-    if not vqe_rows:
-        raise ConfigError("fig1 needs exact-target vqe rows")
-    table: _Table = {}
-    for model, model_rows in _rows_by_model(vqe_rows):
-        for a in sorted({r.n_ancilla for r in model_rows}):
-            cell = [r for r in model_rows if r.n_ancilla == a]
-            table[f"{model}_fidelity_na{a}.dat"] = _columns(cell, "fidelity")
-            table[f"{model}_bound_na{a}.dat"] = _columns(cell, "max_fidelity_bound")
-        table[f"{model}_cnots.dat"] = _columns(model_rows, "n_ancilla", "cnot_count")
-        overlay = _fixed_mixer_cnots(model, model_rows[0].n_data)
-        table[f"{model}_fixed_mixer_cnots.dat"] = (
-            "beta_inv cnot_count",
-            [(b, overlay) for b in sorted({r.beta_inv for r in model_rows})],
-        )
-    return table
+def _fig1(rows: list[ResultRecord], traces_dir: Path) -> _Series:
+    model = rows[0].model
+    for a in sorted({r.n_ancilla for r in rows}):
+        cell = [r for r in rows if r.n_ancilla == a]
+        yield f"{model}_fidelity_na{a}.dat", *_columns(cell, "fidelity")
+        yield f"{model}_bound_na{a}.dat", *_columns(cell, "max_fidelity_bound")
+    yield f"{model}_cnots.dat", *_columns(rows, "n_ancilla", "cnot_count")
+    overlay = _fixed_mixer_cnots(model, rows[0].n_data)
+    temperatures = sorted({r.beta_inv for r in rows})
+    yield (
+        f"{model}_fixed_mixer_cnots.dat",
+        "beta_inv cnot_count",
+        [(b, overlay) for b in temperatures],
+    )
 
 
 def _truncation_suffix(row: ResultRecord) -> str:
     return "" if row.truncation == "exact" else f"_m{row.truncation}"
 
 
-def _fig2(rows: list[ResultRecord], traces_dir: Path) -> _Table:
-    rows = sorted(rows, key=lambda r: r.beta_inv)
-    qaoa_rows = [r for r in rows if r.algorithm == "qaoa"]
-    if not qaoa_rows:
-        raise ConfigError("fig2 needs qaoa rows")
-    # Truncated rows are named as in fig3; a name two rows share is refused.
-    names = [
-        f"qaoa_fidelity_binv{r.beta_inv:g}{_truncation_suffix(r)}.dat"
-        for r in qaoa_rows
-    ]
-    shared = sorted({n for n in names if names.count(n) > 1})
-    if shared:
-        raise ConfigError(
-            f"several qaoa rows map to {shared}; emit their sweeps separately"
-        )
-    table: _Table = {}
-    # One CNOT series per algorithm and truncation order, named like the above:
-    # the CNOTs of the first record that reaches CONVERGED_FIDELITY.
+def _fig2(rows: list[ResultRecord], traces_dir: Path) -> _Series:
+    # One CNOT series per algorithm and truncation order, named like the layer
+    # series: the CNOTs of the first record that reaches CONVERGED_FIDELITY.
     to_target: dict[str, list[tuple]] = {}
-    baseline_rows = [r for r in rows if r.algorithm == "baseline"]
-    for row, name in zip_longest(qaoa_rows + baseline_rows, names):
+    for row in sorted(rows, key=lambda r: (r.algorithm == "baseline", r.beta_inv)):
         records = _load_postselected_trace(traces_dir, row)["records"]
-        if name is not None:
-            table[name] = (
+        suffix = _truncation_suffix(row)
+        if row.algorithm == "qaoa":
+            yield (
+                f"qaoa_fidelity_binv{row.beta_inv:g}{suffix}.dat",
                 "layer fidelity",
                 [(rec["index"], rec["fidelity"]) for rec in records],
             )
@@ -730,33 +693,31 @@ def _fig2(rows: list[ResultRecord], traces_dir: Path) -> _Table:
             r["cnot_count"] for r in records if r["fidelity"] >= CONVERGED_FIDELITY
         ]
         if reached:
-            stem = f"{row.algorithm}_cnots_to_target{_truncation_suffix(row)}"
-            to_target.setdefault(f"{stem}.dat", []).append((row.beta_inv, reached[0]))
+            name = f"{row.algorithm}_cnots_to_target{suffix}.dat"
+            to_target.setdefault(name, []).append((row.beta_inv, reached[0]))
     header = f"beta_inv cnot_count_to_fidelity_{CONVERGED_FIDELITY}"
-    table.update((name, (header, series)) for name, series in to_target.items())
-    return table
+    for name, series in to_target.items():
+        yield name, header, series
 
 
-def _fig3(rows: list[ResultRecord], traces_dir: Path) -> _Table:
-    vqe_rows = [r for r in rows if r.algorithm == "vqe"]
-    if not vqe_rows:
-        raise ConfigError("fig3 needs vqe rows")
-    table: _Table = {}
-    for model, model_rows in _rows_by_model(vqe_rows):
-        for a, trunc in sorted({(r.n_ancilla, r.truncation) for r in model_rows}):
-            suffix = "minf" if trunc == "exact" else f"m{trunc}"
-            table[f"{model}_infidelity_na{a}_{suffix}.dat"] = (
-                "beta_inv infidelity",
-                sorted(
-                    (r.beta_inv, max(1.0 - r.fidelity, INFIDELITY_FLOOR))
-                    for r in model_rows
-                    if (r.n_ancilla, r.truncation) == (a, trunc)
-                ),
-            )
-    return table
+def _fig3(rows: list[ResultRecord], traces_dir: Path) -> _Series:
+    model = rows[0].model
+    for a, trunc in sorted({(r.n_ancilla, r.truncation) for r in rows}):
+        suffix = "minf" if trunc == "exact" else f"m{trunc}"
+        yield f"{model}_infidelity_na{a}_{suffix}.dat", "beta_inv infidelity", sorted(
+            (r.beta_inv, max(1.0 - r.fidelity, INFIDELITY_FLOOR))
+            for r in rows
+            if (r.n_ancilla, r.truncation) == (a, trunc)
+        )
 
 
-_PANELS = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3}
+# Per panel: the algorithms whose rows it plots, the first of which it needs;
+# whether it plots exact-target rows alone; and its series of one model's rows.
+_PANELS = {
+    "fig1": (("vqe",), True, _fig1),
+    "fig2": (("qaoa", "baseline"), False, _fig2),
+    "fig3": (("vqe",), False, _fig3),
+}
 PANELS = tuple(_PANELS)
 
 
@@ -766,22 +727,26 @@ def emit_plot_data(
     """Write whitespace-delimited series files for one figure panel.
 
     ``fig1``: per model, fidelity and rank-bound vs inverse temperature per
-    ancilla count, a long-format CNOT series, and the fixed-mixer overlay.
-    ``fig2``: per temperature, fidelity vs layer (from the postselected
-    traces; truncated rows get an ``_m{order}`` suffix), plus CNOTs to reach
-    99% fidelity vs temperature.
-    ``fig3``: per model, ancilla count ``a`` and truncation order,
+    ancilla count, a long-format CNOT series, and the fixed-mixer overlay,
+    from exact-target ``vqe`` rows.
+    ``fig2``: per ``qaoa`` row, fidelity vs layer (from the postselected
+    traces; truncated rows get an ``_m{order}`` suffix), plus, per algorithm
+    (``qaoa``, ``baseline``), CNOTs to reach 99% fidelity vs temperature.
+    ``fig3``: per model, ancilla count ``a`` and truncation order, ``vqe``
     infidelity vs temperature in ``{model}_infidelity_na{a}_minf.dat``
     (``exact`` rows) or ``{model}_infidelity_na{a}_m{order}.dat``.
 
-    The panel's whole table is computed before ``out_dir`` is made, so a
-    panel that fails (no matching rows, a missing trace, a file name two
-    rows share, fig1/fig3 rows of one model at two ``n_data``) writes
-    nothing. An unreadable input, a CSV without the writer's header, a row
-    that ``ResultRecord`` refuses (a fidelity above its rank bound, say), two
-    rows for one ``(run_id, config_hash)``, or an output path that cannot be
-    written, is a :class:`ConfigError` naming the file. Returns the written
-    paths in write order.
+    Every panel plots its rows model by model, under two rules: a model's
+    rows are of one ``n_data``, and no two series share a file name, within
+    one model or across models. Either would merge registers or rows into
+    one unlabelled series, so it is refused. The whole table is computed
+    before ``out_dir`` is made, so a panel that fails (no rows of the kind
+    it plots, a missing trace, either rule) writes nothing. An unreadable
+    input, a CSV without the writer's header, a row that ``ResultRecord``
+    refuses (a fidelity above its rank bound, say), two rows for one
+    ``(run_id, config_hash)``, or an output path that cannot be written, is
+    a :class:`ConfigError` naming the file. Returns the written paths in
+    write order.
     """
     csv_path = Path(csv_path)
     rows = _read_results(csv_path)
@@ -790,7 +755,30 @@ def emit_plot_data(
     if panel not in _PANELS:
         expected = ", ".join(PANELS)
         raise ConfigError(f"unknown panel {panel!r}; expected one of {expected}")
-    table = _PANELS[panel](rows, csv_path.parent / "traces")
+    algorithms, exact_only, model_series = _PANELS[panel]
+    traces_dir = csv_path.parent / "traces"
+    rows = [
+        r for r in rows
+        if r.algorithm in algorithms and (r.truncation == "exact" or not exact_only)
+    ]
+    if not any(r.algorithm == algorithms[0] for r in rows):
+        kind = "exact-target " * exact_only + algorithms[0]
+        raise ConfigError(f"{panel} needs {kind} rows")
+    # file name -> (column header, rows), in write order
+    table: dict[str, tuple[str, list[tuple]]] = {}
+    for model in sorted({r.model for r in rows}):
+        model_rows = [r for r in rows if r.model == model]
+        sizes = sorted({r.n_data for r in model_rows})
+        if len(sizes) > 1:
+            raise ConfigError(
+                f"{model} rows span n_data {sizes}; emit their sweeps separately"
+            )
+        for name, header, series in model_series(model_rows, traces_dir):
+            if name in table:
+                raise ConfigError(
+                    f"two series map to {name}; emit their sweeps separately"
+                )
+            table[name] = (header, series)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

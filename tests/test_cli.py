@@ -324,8 +324,17 @@ class TestPlotdataCommand:
                  "--out", str(out)]
             )
             assert code == 0
+        # Layered rows at both sizes too; their temperatures differ, so no two
+        # of their fig2 series share a file name.
+        for n_data, beta_inv in (("2", "0.5"), ("3", "1.0")):
+            code = main(
+                ["qaoa-gibbs", "--n_data", n_data, "--n_ancilla", n_data,
+                 "--beta_inv_list", beta_inv, "--restarts", "1",
+                 "--layer_budget", "2", "--out", str(out)]
+            )
+            assert code == 0
         capsys.readouterr()
-        for panel in ("fig1", "fig3"):
+        for panel in ("fig1", "fig2", "fig3"):
             series = tmp_path / panel
             code = main(
                 ["plotdata", "--csv", str(out / "results.csv"), "--panel", panel,

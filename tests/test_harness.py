@@ -808,6 +808,18 @@ class TestEmitPlotData:
             emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
         assert not (tmp_path / "plot").exists()
 
+    def test_fig2_rejects_models_sharing_a_series(self, tmp_path):
+        # fig2's file names carry no model: the baseline CNOTs of ising and xy
+        # at one temperature would merge into one series of two points there.
+        out = tmp_path / "out"
+        layered = dict(n_ancilla=(2,), layer_budget=2, out=str(out))
+        run_sweep(tiny_config(algorithm="qaoa", **layered))
+        for model in ("ising", "xy"):
+            run_sweep(tiny_config(algorithm="baseline", model=model, **layered))
+        with pytest.raises(ConfigError, match="baseline_cnots_to_target.dat"):
+            emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
+        assert not (tmp_path / "plot").exists()
+
     def test_fig2_missing_trace_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
         run_sweep(
