@@ -879,11 +879,12 @@ def _argmax_with_ties(gradients: np.ndarray) -> int:
 class _Growth:
     """Records and trace of one growth loop, shared by both ansatz families.
 
-    Made with the reference-only ansatz, it records step 0 at once. The
-    loop then runs :meth:`scan` (unless its mixer is fixed) and :meth:`step`
-    once per growth step, and :meth:`trace` at the end. ``state`` is the
-    ansatz's prepared state after the last recorded step, which the next
-    scan starts from.
+    The records are the loop's only state, and :meth:`_record` is their one
+    writer. Made with the reference-only ansatz, it records step 0 at once.
+    The loop then runs :meth:`scan` (unless its mixer is fixed) and
+    :meth:`step` once per growth step, and :meth:`trace` at the end.
+    ``state`` is the prepared state of the last record, which the next scan
+    starts from.
     """
 
     def __init__(
@@ -892,14 +893,8 @@ class _Growth:
         self.ansatz, self.ctx = ansatz, ctx
         self.target_dm = fidelity_target.as_density_matrix()
         self.pool_norm: float | None = None
-        t0 = time.perf_counter()
-        self.state = ansatz.prepare()
-        rho = partial_trace_ancilla(self.state)
-        obj, fid = objective(rho, ctx), fidelity(rho, self.target_dm)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        self.records = [
-            IterationRecord(0, None, None, None, obj, fid, cnot_count(ansatz), wall_ms)
-        ]
+        self.records: list[IterationRecord] = []
+        self._record(time.perf_counter())
 
     def scan(self, state: StateVector) -> tuple[PoolOperator, float]:
         """The pool's largest-|gradient| generator at ``state``, with its gradient.
@@ -920,7 +915,7 @@ class _Growth:
         chosen: PoolOperator,
         selection_gradient: float | None,
         new_parameters: tuple[float, ...],
-    ) -> IterationRecord:
+    ) -> None:
         """Append ``chosen``, re-optimize, and record the step from ``t0`` on.
 
         BFGS starts at the last optimum extended by ``new_parameters``.
@@ -930,24 +925,25 @@ class _Growth:
         init = np.concatenate([ansatz.parameters, new_parameters])
         result = optimize_fixed_ansatz(ansatz, self.ctx, init)
         ansatz.parameters = result.parameters
-        self.state = ansatz.prepare()
+        optimizer = (result.iterations, result.evaluations, result.converged)
+        self._record(t0, chosen.label, selection_gradient, optimizer)
+
+    def _record(
+        self, t0: float, generator: str | None = None,
+        selection_gradient: float | None = None, optimizer: tuple = (),
+    ) -> None:
+        """Prepare the ansatz as it stands and append its record, timed from ``t0``.
+
+        The objective is read from the state, the forward pass that gave BFGS
+        its value; ``optimizer`` holds the BFGS fields (none at step 0).
+        """
+        self.state = self.ansatz.prepare()
         rho = partial_trace_ancilla(self.state)
-        self.records.append(
-            IterationRecord(
-                len(self.records),
-                chosen.label,
-                selection_gradient,
-                self.pool_norm,
-                result.objective,
-                fidelity(rho, self.target_dm),
-                cnot_count(ansatz),
-                (time.perf_counter() - t0) * 1e3,
-                result.iterations,
-                result.evaluations,
-                result.converged,
-            )
-        )
-        return self.records[-1]
+        self.records.append(IterationRecord(
+            len(self.records), generator, selection_gradient, self.pool_norm,
+            objective(rho, self.ctx), fidelity(rho, self.target_dm),
+            cnot_count(self.ansatz), (time.perf_counter() - t0) * 1e3, *optimizer,
+        ))
 
     def trace(self, seed: int, gamma0: float | None, termination: str) -> AdaptTrace:
         ansatz, last = self.ansatz, self.records[-1]
@@ -983,29 +979,26 @@ def adapt_vqe_run(
     Each iteration scans every pool candidate at the current optimized
     state, appends the largest-|gradient| generator with its new parameter
     at 0 (which reproduces the previous state exactly, so the objective can
-    only improve), and re-optimizes all parameters.
+    only improve), and re-optimizes all parameters. The run ends
+    ``stalled`` once each of the last ``STALL_LIMIT`` records is less than
+    ``STALL_IMPROVEMENT`` below the one before it.
     """
     rng = np.random.default_rng(seed)
     _, angles = vqe_reference_state(ctx.n_data, ctx.n_ancilla, rng)
     ansatz = Ansatz.vqe(ctx.n_data, ctx.n_ancilla, angles)
     growth = _Growth(ansatz, ctx, fidelity_target)
     termination = "max_iters"
-    stall_count = 0
     for _ in range(MAX_VQE_ITERATIONS):
         t0 = time.perf_counter()
         chosen, gradient = growth.scan(growth.state)
         if growth.pool_norm < settings.epsilon:
             termination = "threshold"
             break
-        previous = growth.records[-1].objective
-        record = growth.step(t0, chosen, gradient, (0.0,))
-        if previous - record.objective < STALL_IMPROVEMENT:
-            stall_count += 1
-            if stall_count >= STALL_LIMIT:
-                termination = "stalled"
-                break
-        else:
-            stall_count = 0
+        growth.step(t0, chosen, gradient, (0.0,))
+        gains = -np.diff([r.objective for r in growth.records[-STALL_LIMIT - 1:]])
+        if gains.size == STALL_LIMIT and gains.max() < STALL_IMPROVEMENT:
+            termination = "stalled"
+            break
     return ansatz, growth.trace(seed, None, termination)
 
 
