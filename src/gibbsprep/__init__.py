@@ -58,7 +58,6 @@ from .simcore import (
     StateVector,
     fidelity,
     partial_trace_ancilla,
-    pauli_rotation,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "objective",
     "optimize_fixed_ansatz",
     "partial_trace_ancilla",
-    "pauli_rotation",
     "restart_postselect",
     "shift_rule_gradient",
     "truncated_target",

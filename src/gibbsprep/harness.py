@@ -736,12 +736,14 @@ def emit_plot_data(
     infidelity vs temperature in ``{model}_infidelity_na{a}_minf.dat``
     (``exact`` rows) or ``{model}_infidelity_na{a}_m{order}.dat``.
 
-    Every panel plots its rows model by model, under two rules: a model's
-    rows are of one ``n_data``, and no two series share a file name, within
-    one model or across models. Either would merge registers or rows into
-    one unlabelled series, so it is refused. The whole table is computed
+    Every panel plots its rows model by model, under three rules: a model's
+    rows are of one ``n_data``, no two series share a file name, within one
+    model or across models, and no series holds two points whose leading
+    columns (all but the last) are equal, as two sweeps of one grid at two
+    master seeds would give. Each would merge registers or rows into one
+    unlabelled series, so it is refused. The whole table is computed
     before ``out_dir`` is made, so a panel that fails (no rows of the kind
-    it plots, a missing trace, either rule) writes nothing. An unreadable
+    it plots, a missing trace, any rule) writes nothing. An unreadable
     input, a CSV without the writer's header, a row that ``ResultRecord``
     refuses (a fidelity above its rank bound, say), two rows for one
     ``(run_id, config_hash)``, or an output path that cannot be written, is
@@ -778,6 +780,13 @@ def emit_plot_data(
                 raise ConfigError(
                     f"two series map to {name}; emit their sweeps separately"
                 )
+            points = [row[:-1] for row in series]
+            for i, point in enumerate(points):
+                if point in points[:i]:
+                    at = ", ".join(f"{c} {v:g}" for c, v in zip(header.split(), point))
+                    raise ConfigError(
+                        f"{name} has two points at {at}; emit their sweeps separately"
+                    )
             table[name] = (header, series)
     out_dir = Path(out_dir)
     try:

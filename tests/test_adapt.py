@@ -23,7 +23,6 @@ from gibbsprep import (
     objective,
     optimize_fixed_ansatz,
     partial_trace_ancilla,
-    pauli_rotation,
     restart_postselect,
     shift_rule_gradient,
     xy_hamiltonian,
@@ -34,6 +33,8 @@ from gibbsprep.adapt import (
     ENTANGLER_LABEL,
     GROWTH_RUNS,
     MAX_QAOA_LAYERS,
+    STALL_IMPROVEMENT,
+    STALL_LIMIT,
     TIE_TOLERANCE,
     AdaptTrace,
     IterationRecord,
@@ -49,6 +50,7 @@ from gibbsprep.adapt import (
     singlet_reference_state,
     vqe_reference_state,
 )
+from gibbsprep.simcore import pauli_rotation
 
 from conftest import (
     basis_state,
@@ -831,10 +833,11 @@ class TestAdaptVqeRun:
         ctx = ObjectiveContext(gibbs_state(ising_hamiltonian(2), 1.0), 2, 2)
         settings = VqeSettings(epsilon=1e-15)
         _, trace = adapt_vqe_run(settings, ctx, ctx.target, seed=7)
-        assert trace.termination in ("stalled", "threshold")
-        if trace.termination == "stalled":
-            tail = [r.objective for r in trace.records[-4:]]
-            assert max(tail) - min(tail) < 1e-9
+        assert trace.termination == "stalled"
+        objectives = [r.objective for r in trace.records]
+        small = [a - b < STALL_IMPROVEMENT for a, b in zip(objectives, objectives[1:])]
+        # The run ends at the first STALL_LIMIT small improvements in a row.
+        assert all(small[-STALL_LIMIT:]) and not all(small[-STALL_LIMIT - 1:-1])
 
 
 def qaoa_settings(n, layer_budget=3):
@@ -948,7 +951,6 @@ class TestBaselineRun:
         fids = [r.fidelity for r in trace.records]
         assert all(b >= a - 1e-9 for a, b in zip(fids, fids[1:]))
 
-    @pytest.mark.slow
     def test_six_site_ising_converges_by_third_layer(self):
         n = 6
         target = gibbs_state(ising_hamiltonian(n), 1.0)

@@ -344,6 +344,31 @@ class TestPlotdataCommand:
             assert not series.exists()
             assert "ising rows span n_data [2, 3]" in capsys.readouterr().err
 
+    def test_two_sweeps_of_one_cell_refused(self, tmp_path, capsys):
+        # Two master seeds of one grid give two rows per temperature; each
+        # would be a second point at one beta_inv in fig1's and fig3's series.
+        out = tmp_path / "out"
+        for seed in ("1", "2"):
+            code = main(
+                ["vqe-gibbs", "--model", "ising", "--n_data", "2", "--n_ancilla", "1",
+                 "--beta_inv_list", "0.6,2.0", "--restarts", "1",
+                 "--master_seed", seed, "--out", str(out)]
+            )
+            assert code == 0
+        capsys.readouterr()
+        for panel, name in (
+            ("fig1", "ising_fidelity_na1.dat"), ("fig3", "ising_infidelity_na1_minf.dat")
+        ):
+            series = tmp_path / panel
+            code = main(
+                ["plotdata", "--csv", str(out / "results.csv"), "--panel", panel,
+                 "--out", str(series)]
+            )
+            assert code == 2
+            assert not series.exists()
+            err = capsys.readouterr().err
+            assert f"{name} has two points at beta_inv 0.6; emit their sweeps" in err
+
     @pytest.mark.parametrize(
         "panel, sweep, message",
         [

@@ -10,10 +10,9 @@ from gibbsprep import (
     StateVector,
     fidelity,
     partial_trace_ancilla,
-    pauli_rotation,
 )
 from gibbsprep import simcore
-from gibbsprep.simcore import bell_frame, pauli_action_tables
+from gibbsprep.simcore import bell_frame, pauli_action_tables, pauli_rotation
 
 from conftest import (
     basis_state,
