@@ -685,7 +685,7 @@ def _fig2(rows: list[ResultRecord], traces_dir: Path) -> _Series:
         suffix = _truncation_suffix(row)
         if row.algorithm == "qaoa":
             yield (
-                f"qaoa_fidelity_binv{row.beta_inv:g}{suffix}.dat",
+                f"{row.model}_qaoa_fidelity_binv{row.beta_inv:g}{suffix}.dat",
                 "layer fidelity",
                 [(rec["index"], rec["fidelity"]) for rec in records],
             )
@@ -693,7 +693,7 @@ def _fig2(rows: list[ResultRecord], traces_dir: Path) -> _Series:
             r["cnot_count"] for r in records if r["fidelity"] >= CONVERGED_FIDELITY
         ]
         if reached:
-            name = f"{row.algorithm}_cnots_to_target{suffix}.dat"
+            name = f"{row.model}_{row.algorithm}_cnots_to_target{suffix}.dat"
             to_target.setdefault(name, []).append((row.beta_inv, reached[0]))
     header = f"beta_inv cnot_count_to_fidelity_{CONVERGED_FIDELITY}"
     for name, series in to_target.items():
@@ -729,26 +729,26 @@ def emit_plot_data(
     ``fig1``: per model, fidelity and rank-bound vs inverse temperature per
     ancilla count, a long-format CNOT series, and the fixed-mixer overlay,
     from exact-target ``vqe`` rows.
-    ``fig2``: per ``qaoa`` row, fidelity vs layer (from the postselected
-    traces; truncated rows get an ``_m{order}`` suffix), plus, per algorithm
-    (``qaoa``, ``baseline``), CNOTs to reach 99% fidelity vs temperature.
+    ``fig2``: per model, fidelity vs layer per ``qaoa`` row (from the
+    postselected traces) in ``{model}_qaoa_fidelity_binv{beta_inv}.dat``, and
+    per algorithm CNOTs to reach 99% fidelity vs temperature in
+    ``{model}_{algorithm}_cnots_to_target.dat``; truncated rows add ``_m{order}``.
     ``fig3``: per model, ancilla count ``a`` and truncation order, ``vqe``
     infidelity vs temperature in ``{model}_infidelity_na{a}_minf.dat``
     (``exact`` rows) or ``{model}_infidelity_na{a}_m{order}.dat``.
 
     Every panel plots its rows model by model, under three rules: a model's
-    rows are of one ``n_data``, no two series share a file name, within one
-    model or across models, and no series holds two points whose leading
-    columns (all but the last) are equal, as two sweeps of one grid at two
-    master seeds would give. Each would merge registers or rows into one
-    unlabelled series, so it is refused. The whole table is computed
-    before ``out_dir`` is made, so a panel that fails (no rows of the kind
-    it plots, a missing trace, any rule) writes nothing. An unreadable
-    input, a CSV without the writer's header, a row that ``ResultRecord``
-    refuses (a fidelity above its rank bound, say), two rows for one
-    ``(run_id, config_hash)``, or an output path that cannot be written, is
-    a :class:`ConfigError` naming the file. Returns the written paths in
-    write order.
+    rows are of one ``n_data``, no two series share a file name, and no
+    series has two points at one value of its leading columns (all but the
+    last), as two master seeds of one grid would give. Each would merge
+    registers or rows into one unlabelled series, so it is refused. The
+    whole table is computed before ``out_dir`` is made, so a panel that
+    fails (no rows of the kind it plots, a missing trace, any rule) writes
+    nothing. An unreadable input, a CSV without the writer's header, a row
+    that ``ResultRecord`` refuses (a fidelity above its rank bound, say), two
+    rows for one ``(run_id, config_hash)``, or an output path that cannot be
+    written, is a :class:`ConfigError` naming the file. Returns the written
+    paths in write order.
     """
     csv_path = Path(csv_path)
     rows = _read_results(csv_path)

@@ -771,9 +771,9 @@ class TestEmitPlotData:
     def test_fig2_layer_series_and_convergence(self, sweep_outputs, tmp_path):
         written = emit_plot_data(sweep_outputs / "results.csv", "fig2", tmp_path)
         names = [p.name for p in written]
-        assert "qaoa_fidelity_binv0.5.dat" in names
-        assert "qaoa_fidelity_binv1.dat" in names
-        series = (tmp_path / "qaoa_fidelity_binv1.dat").read_text().splitlines()
+        assert "ising_qaoa_fidelity_binv0.5.dat" in names
+        assert "ising_qaoa_fidelity_binv1.dat" in names
+        series = (tmp_path / "ising_qaoa_fidelity_binv1.dat").read_text().splitlines()
         assert len(series) == 4  # header + layers 0..2
 
     def test_fig2_keeps_one_series_per_truncation(self, tmp_path):
@@ -785,13 +785,13 @@ class TestEmitPlotData:
                             out=str(out))
             )
         written = emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
-        exact = tmp_path / "plot" / "qaoa_fidelity_binv0.5.dat"
-        truncated = tmp_path / "plot" / "qaoa_fidelity_binv0.5_m3.dat"
+        exact = tmp_path / "plot" / "ising_qaoa_fidelity_binv0.5.dat"
+        truncated = tmp_path / "plot" / "ising_qaoa_fidelity_binv0.5_m3.dat"
         assert {exact, truncated} <= set(written)
         assert exact.read_text() != truncated.read_text()
         # Both orders reach the target; each CNOT series holds its own row only.
-        cnots = tmp_path / "plot" / "qaoa_cnots_to_target.dat"
-        cnots_m3 = tmp_path / "plot" / "qaoa_cnots_to_target_m3.dat"
+        cnots = tmp_path / "plot" / "ising_qaoa_cnots_to_target.dat"
+        cnots_m3 = tmp_path / "plot" / "ising_qaoa_cnots_to_target_m3.dat"
         assert {cnots, cnots_m3} <= set(written)
         for path in (cnots, cnots_m3):
             rows = path.read_text().splitlines()[1:]
@@ -804,21 +804,28 @@ class TestEmitPlotData:
                 tiny_config(algorithm="qaoa", n_ancilla=(2,), layer_budget=1,
                             master_seed=seed, out=str(out))
             )
-        with pytest.raises(ConfigError, match="qaoa_fidelity_binv1.dat"):
+        with pytest.raises(ConfigError, match="ising_qaoa_fidelity_binv1.dat"):
             emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
         assert not (tmp_path / "plot").exists()
 
-    def test_fig2_rejects_models_sharing_a_series(self, tmp_path):
-        # fig2's file names carry no model: the baseline CNOTs of ising and xy
-        # at one temperature would merge into one series of two points there.
+    def test_fig2_writes_each_models_series(self, tmp_path):
+        # fig2's file names carry the model, so the baseline CNOTs of ising
+        # and xy at one temperature are two series of one point each.
         out = tmp_path / "out"
         layered = dict(n_ancilla=(2,), layer_budget=2, out=str(out))
         run_sweep(tiny_config(algorithm="qaoa", **layered))
         for model in ("ising", "xy"):
             run_sweep(tiny_config(algorithm="baseline", model=model, **layered))
-        with pytest.raises(ConfigError, match="baseline_cnots_to_target.dat"):
-            emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
-        assert not (tmp_path / "plot").exists()
+        written = emit_plot_data(out / "results.csv", "fig2", tmp_path / "plot")
+        assert [p.name for p in written] == [
+            "ising_qaoa_fidelity_binv1.dat",
+            "ising_qaoa_cnots_to_target.dat",
+            "ising_baseline_cnots_to_target.dat",
+            "xy_baseline_cnots_to_target.dat",
+        ]
+        for path in written[2:]:
+            rows = path.read_text().splitlines()[1:]
+            assert len(rows) == 1 and rows[0].startswith("1 "), path.name
 
     def test_fig2_missing_trace_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
