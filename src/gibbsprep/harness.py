@@ -38,9 +38,12 @@ two constructors, ``Ansatz.vqe`` and ``Ansatz.layered``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -402,8 +405,33 @@ def _run_cell(
     return record, trace_dicts
 
 
+@functools.cache
+def _keep_freed_heap_mapped() -> None:
+    """On glibc, keep the heap that a value+gradient call frees for the next one.
+
+    By default glibc gives the heap top back to the kernel after each call at
+    12 qubits, and the next call faults it back in (64 minor faults a layer);
+    at 14 qubits each 256 KiB array is mmapped and unmapped. Raising the
+    trim threshold alone turns off glibc's adaptive mmap threshold, so both
+    are set. Allocation changes, arithmetic does not. Other libcs: no-op.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for name, param, value in (
+        ("M_MMAP_THRESHOLD", -3, 32 << 20),
+        ("M_TRIM_THRESHOLD", -1, 64 << 20),
+    ):
+        if mallopt(param, value) != 1:
+            raise OSError(f"mallopt({name}, {value}) failed")
+
+
 def _cell_job(args: tuple) -> tuple[ResultRecord, list[dict]]:
     # One argument tuple per cell for map; _run_cell is looked up at call time.
+    # Serial sweeps and pool workers both run this, under any start method.
+    _keep_freed_heap_mapped()
     return _run_cell(*args)
 
 

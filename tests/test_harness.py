@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import platform
+import resource
 import struct
 from pathlib import Path
 
@@ -22,7 +24,13 @@ from gibbsprep import (
     partial_trace_ancilla,
     truncated_target,
 )
-from gibbsprep.adapt import ENTANGLER_LABEL, GROWTH_RUNS, CostGate
+from gibbsprep.adapt import (
+    ENTANGLER_LABEL,
+    GROWTH_RUNS,
+    CostGate,
+    ansatz_value_and_gradient,
+    register_pool,
+)
 from gibbsprep.harness import (
     CSV_COLUMNS,
     CSV_SCHEMA_COMMENT,
@@ -643,6 +651,28 @@ class TestProcessCaches:
         assert groups == []
         assert len(run_sweep(layered_sweep("qaoa", layer_budget=1))) == 2
         assert len(groups) == 1
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds"
+)
+@pytest.mark.parametrize("n_data, calls", [(6, 50), (7, 10)])
+def test_cell_heap_stays_mapped_between_value_and_gradient_calls(n_data, calls):
+    # Without the helper, each 12-qubit call took 64 minor faults (glibc trimmed
+    # the heap top after it) and each 14-qubit call 352 (mmapped arrays).
+    from gibbsprep.harness import _keep_freed_heap_mapped
+
+    _keep_freed_heap_mapped()
+    hamiltonian = MODEL_BUILDERS["ising"](n_data)
+    entangler = register_pool(n_data, n_data, True)[-1]
+    ansatz = Ansatz.layered("qaoa", hamiltonian, [entangler])
+    ctx = ObjectiveContext(gibbs_state(hamiltonian, 1.0), n_data, n_data)
+    params = np.array([0.3, 0.7])
+    ansatz_value_and_gradient(ansatz, params, ctx)  # warm caches and the heap
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        ansatz_value_and_gradient(ansatz, params, ctx)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < calls
 
 
 class TestGradcheck:
