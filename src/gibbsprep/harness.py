@@ -155,6 +155,9 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.out == "":
+            # Not "no output": a sweep told to persist must persist.
+            raise ConfigError("out must be a nonempty path")
         if self.algorithm in ("qaoa", "baseline"):
             if any(a != self.n_data for a in self.n_ancilla):
                 raise ConfigError(
@@ -196,8 +199,12 @@ def _read_text(path: Path) -> str:
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Flat ``key = value`` text; '#' lines are comments, lists are comma-separated."""
+    """Flat ``key = value`` text; '#' lines are comments, lists are comma-separated.
+
+    A key set on two lines is refused: neither value silently wins.
+    """
     raw: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(Path(path)).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -205,7 +212,13 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(
+                f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 

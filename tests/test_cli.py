@@ -115,6 +115,32 @@ class TestSweepCommands:
             err = capsys.readouterr().err
             assert message in err and len(err.splitlines()) == 1
 
+    def test_key_set_twice_in_config_file_exit_code(self, tiny_cfg, tmp_path, capsys):
+        # The last value used to win silently: this file ran n_data 2.
+        tiny_cfg.write_text(tiny_cfg.read_text().replace("n_data = 2", "n_data = 3"))
+        tiny_cfg.write_text(tiny_cfg.read_text() + "# again\nn_data = 2\n")
+        out = tmp_path / "out"
+        assert main(["vqe-gibbs", "--config", str(tiny_cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tiny_cfg}:9: 'n_data' is already set on line 2" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_out_exit_code(self, where, tiny_cfg, tmp_path, monkeypatch, capsys):
+        # An empty out used to run the sweep, persist nothing and exit 0.
+        monkeypatch.chdir(tmp_path)
+        argv = ["vqe-gibbs", "--config", str(tiny_cfg)]
+        if where == "flag":
+            argv += ["--out", ""]
+        else:
+            tiny_cfg.write_text(tiny_cfg.read_text() + "out =\n")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: out must be a nonempty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [tiny_cfg.name]
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("modle = ising\n")
