@@ -314,10 +314,26 @@ class TestRunSweep:
         assert len(trace_files) == 4  # one restart per cell
 
     def test_worker_pool_matches_sequential(self, tmp_path):
-        seq = run_sweep(tiny_config(beta_inv_list=(0.5, 1.0), workers=1))
-        par = run_sweep(tiny_config(beta_inv_list=(0.5, 1.0), workers=2))
-        for a, b in zip(seq, par):
-            assert a.to_csv_row().rsplit(",", 1)[0] == b.to_csv_row().rsplit(",", 1)[0]
+        # Pool workers run their cells under their own allocator settings
+        # (_cell_job): rows and every trace field but wall_ms must not move.
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            config = tiny_config(
+                beta_inv_list=(0.5, 1.0), restarts=2, workers=workers, out=str(out)
+            )
+            records = run_sweep(config)
+            rows = (out / "results.csv").read_text().splitlines()[2:]
+            assert [r.to_csv_row() for r in records] == rows
+            traces = {
+                path.name: without_wall_ms(json.loads(path.read_text()))
+                for path in sorted((out / "traces").glob("*.json"))
+            }
+            outputs[workers] = ([row.rsplit(",", 1)[0] for row in rows], traces)
+        (seq_rows, seq_traces), (par_rows, par_traces) = outputs[1], outputs[2]
+        assert len(seq_rows) == 2 and len(seq_traces) == 4
+        assert par_rows == seq_rows
+        assert par_traces == seq_traces
 
     def test_failing_cell_tears_down_worker_pool(self, monkeypatch):
         import multiprocessing
