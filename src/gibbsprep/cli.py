@@ -14,10 +14,10 @@ An unpinned OpenBLAS (a thread per core) can stall on these small matrices: on
 The benchmark and CI pin one thread; for timed runs set ``OPENBLAS_NUM_THREADS=1``.
 
 On glibc a sweep keeps the heap it frees mapped (``mallopt``, once per process,
-when its first cell starts). By default glibc hands the freed top of the heap
-back after each 12-qubit value+gradient call and maps each 14-qubit array on
-its own, so every call page-faults its working set back in: 64 minor faults a
-layer at 12 qubits, 352 at 14.
+when its first cell starts). By default glibc can hand the freed top of the heap
+back after a 12-qubit value+gradient call, depending on what the process freed
+before, and maps each 14-qubit array on its own; each call then page-faults its
+working set back in: 64-80 minor faults a layer at 12 qubits, 352 at 14.
 """
 
 from __future__ import annotations

@@ -422,11 +422,12 @@ def _run_cell(
 def _keep_freed_heap_mapped() -> None:
     """On glibc, keep the heap that a value+gradient call frees for the next one.
 
-    By default glibc gives the heap top back to the kernel after each call at
-    12 qubits, and the next call faults it back in (64 minor faults a layer);
-    at 14 qubits each 256 KiB array is mmapped and unmapped. Raising the
-    trim threshold alone turns off glibc's adaptive mmap threshold, so both
-    are set. Allocation changes, arithmetic does not. Other libcs: no-op.
+    By default glibc can give the heap top back to the kernel after a call at
+    12 qubits (its trim threshold moves with what the process freed before),
+    and at 14 qubits it mmaps and unmaps each 256 KiB array; the next call
+    faults its working set back in. Raising the trim threshold alone turns
+    off glibc's adaptive mmap threshold, so both are set. Allocation
+    changes, arithmetic does not. Other libcs: no-op.
     """
     if platform.libc_ver()[0] != "glibc":
         return

@@ -674,8 +674,9 @@ class TestProcessCaches:
 )
 @pytest.mark.parametrize("n_data, calls", [(6, 50), (7, 10)])
 def test_cell_heap_stays_mapped_between_value_and_gradient_calls(n_data, calls):
-    # Without the helper, each 12-qubit call took 64 minor faults (glibc trimmed
-    # the heap top after it) and each 14-qubit call 352 (mmapped arrays).
+    # Without the helper a 14-qubit call takes 352 minor faults (mmapped arrays).
+    # A 12-qubit call takes 64-80 when glibc trims the heap top after it, which
+    # depends on the heap's history: in this suite's process it does not.
     from gibbsprep.harness import _keep_freed_heap_mapped
 
     _keep_freed_heap_mapped()
