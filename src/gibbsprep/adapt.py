@@ -354,7 +354,7 @@ def vqe_reference_state(
     for _ in range(100):
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n_data + n_ancilla)
         state = reference_from_angles(n_data, n_ancilla, angles)
-        rho = partial_trace_ancilla(state).entries
+        rho = partial_trace_ancilla_raw(state.amplitudes, n_data, n_ancilla)
         p = float(np.vdot(rho, rho).real)
         if lo < p < hi:
             return state, angles

@@ -141,6 +141,9 @@ class ExperimentConfig:
             not (b > 0 and np.isfinite(b)) for b in self.beta_inv_list
         ):
             raise ConfigError("beta_inv_list must be nonempty with positive entries")
+        if len(set(self.beta_inv_list)) != len(self.beta_inv_list):
+            # Their rows would be two points at one temperature in every panel.
+            raise ConfigError(f"beta_inv_list has repeated entries: {self.beta_inv_list}")
         if not 0 < self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 <= self.layer_budget <= MAX_QAOA_LAYERS:

@@ -141,8 +141,8 @@ class GibbsTarget:
     """Normalized target operator: exact ``exp(-beta H)/Z`` or its Taylor surrogate.
 
     ``eigenvalues`` are stored in descending order. In truncated mode they
-    may be negative (the surrogate need not be a state); that is flagged via
-    :attr:`has_negative_eigenvalues`, not treated as an error.
+    may be negative (the surrogate need not be a state); only
+    :meth:`as_density_matrix` refuses that, when it builds the state.
     """
 
     mode: str  # "exact" | "truncated"
@@ -164,21 +164,15 @@ class GibbsTarget:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def has_negative_eigenvalues(self) -> bool:
-        return bool(self.eigenvalues[-1] < 0)
-
     @cached_property
     def _density_matrix(self) -> DensityMatrix:
-        if self.has_negative_eigenvalues:
-            raise ValueError("surrogate with negative spectrum is not a state")
         return DensityMatrix(self.matrix)
 
     def as_density_matrix(self) -> DensityMatrix:
         """The target as a state; one object per target, built on first use.
 
-        Every fidelity against the target then reuses one square root
-        (:attr:`~gibbsprep.simcore.DensityMatrix.sqrt`).
+        Building it checks the spectrum floor; every fidelity against the target
+        then reuses one square root (:attr:`~gibbsprep.simcore.DensityMatrix.sqrt`).
         """
         return self._density_matrix
 

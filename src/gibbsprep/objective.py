@@ -24,7 +24,7 @@ from .models import GibbsTarget
 from .simcore import (
     DensityMatrix,
     StateVector,
-    partial_trace_ancilla,
+    partial_trace_ancilla_raw,
     pauli_action_tables,
     pauli_rotate_raw,
 )
@@ -62,14 +62,16 @@ def objective_raw(rho: np.ndarray, ctx: ObjectiveContext) -> float:
 def auxiliary_objective(
     state_theta: StateVector, state_phi: StateVector, ctx: ObjectiveContext
 ) -> float:
-    """aux(theta, phi) = -Tr(T rho(theta)) + Tr(rho(theta) rho(phi))."""
-    if (state_theta.n_data, state_theta.n_ancilla) != (
-        state_phi.n_data,
-        state_phi.n_ancilla,
-    ):
+    """aux(theta, phi) = -Tr(T rho(theta)) + Tr(rho(theta) rho(phi)).
+
+    The states are checked, so their reduced matrices are read raw: no
+    :class:`DensityMatrix` is built and no spectrum floor is checked here.
+    """
+    shape = (state_theta.n_data, state_theta.n_ancilla)
+    if shape != (state_phi.n_data, state_phi.n_ancilla):
         raise ValueError("register shapes differ between the two states")
-    rho_theta = partial_trace_ancilla(state_theta).entries
-    rho_phi = partial_trace_ancilla(state_phi).entries
+    rho_theta = partial_trace_ancilla_raw(state_theta.amplitudes, *shape)
+    rho_phi = partial_trace_ancilla_raw(state_phi.amplitudes, *shape)
     cross = np.einsum("ij,ji->", ctx.target.matrix, rho_theta).real
     overlap = np.einsum("ij,ji->", rho_theta, rho_phi).real
     return float(-cross + overlap)

@@ -216,7 +216,8 @@ def unit_trace_matrix(entries, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace matrix on the data register."""
+    """A state on the data register: Hermitian, unit trace, and no eigenvalue below
+    ``EIGENVALUE_FLOOR``, which this constructor checks and nothing else does."""
 
     entries: np.ndarray
 
@@ -226,6 +227,11 @@ class DensityMatrix:
         # A unit-trace Hermitian matrix has purity >= 1/dim: only the top can fail.
         if not p <= 1.0 + 1e-9:
             raise ValueError(f"purity {float(p)!r} above 1")
+        lowest = np.linalg.eigvalsh(entries)[0]
+        if lowest < EIGENVALUE_FLOOR:
+            raise ValueError(
+                f"density matrix has eigenvalue {lowest} below {EIGENVALUE_FLOOR}"
+            )
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -236,14 +242,10 @@ class DensityMatrix:
     def sqrt(self) -> np.ndarray:
         """The read-only square root, built on first use.
 
-        Eigenvalues in ``[-1e-9, 0)`` are clamped to zero; anything below
-        raises ``ValueError`` (on every access, since nothing is cached then).
+        The constructor refused any eigenvalue below ``EIGENVALUE_FLOOR``; the
+        rounding left in ``[EIGENVALUE_FLOOR, 0)`` is clamped to zero here.
         """
         values, vectors = np.linalg.eigh(self.entries)
-        if values[0] < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"density matrix has eigenvalue {values[0]} below {EIGENVALUE_FLOOR}"
-            )
         root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
         root.setflags(write=False)
         return root
@@ -273,20 +275,14 @@ def partial_trace_ancilla(state: StateVector) -> DensityMatrix:
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2``, at most 1.
 
-    An eigenvalue of either argument below ``-1e-9``, or a result above ``1 +
-    1e-9``, raises: it signals a bug upstream rather than rounding, which is
-    clamped. ``sqrt(sigma)`` is ``sigma``'s cached :attr:`DensityMatrix.sqrt`,
+    Both arguments are states, their spectra checked when they were built. A
+    result above ``1 + 1e-9`` raises: a bug upstream rather than rounding, which
+    is clamped. ``sqrt(sigma)`` is ``sigma``'s cached :attr:`DensityMatrix.sqrt`,
     so a fixed target pays its ``eigh`` once. Eigenvalues of ``sqrt(sigma) rho
     sqrt(sigma)`` below ``dim * eps * max`` (the ``matrix_rank`` cutoff) are dropped.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    lowest = np.linalg.eigvalsh(rho.entries)[0]
-    if lowest < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"rho has eigenvalue {lowest} below {EIGENVALUE_FLOOR}; "
-            "invalid state upstream"
-        )
     sqrt_sigma = sigma.sqrt
     inner = sqrt_sigma @ rho.entries @ sqrt_sigma
     values = np.linalg.eigvalsh(inner)

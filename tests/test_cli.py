@@ -156,6 +156,17 @@ class TestSweepCommands:
         assert "repeated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_temperature_exit_code(self, tmp_path, capsys):
+        # It used to run both cells, whose rows every plot-data panel refuses.
+        out = tmp_path / "out"
+        code = main(
+            ["vqe-gibbs", "--n_data", "2", "--n_ancilla", "1", "--beta_inv_list",
+             "1.0,1.0", "--restarts", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "beta_inv_list has repeated entries" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "overrides, key",
         [

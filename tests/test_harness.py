@@ -113,10 +113,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="repeated"):
             build_config({"n_data": "2", "n_ancilla": "1,1"})
 
-    def test_repeated_temperature_gets_its_own_run_and_seed(self):
-        records = run_sweep(tiny_config(beta_inv_list=(1.0, 1.0)))
-        assert len({r.run_id for r in records}) == 2
-        assert len({r.seed for r in records}) == 2
+    def test_repeated_temperature_rejected(self):
+        # Two rows at one temperature are two points at one place in every panel.
+        with pytest.raises(ConfigError, match="beta_inv_list has repeated entries"):
+            tiny_config(beta_inv_list=(1.0, 2.0, 1.0))
+        with pytest.raises(ConfigError, match="repeated"):
+            build_config({"n_data": "2", "beta_inv_list": "1.0,1"})
 
     def test_layered_requires_matching_registers(self):
         with pytest.raises(ConfigError, match="n_ancilla == n_data"):
@@ -654,10 +656,16 @@ class TestProcessCaches:
         # The model's eigensystem (which the xy cost gate's frame shares) and
         # each cell's target square root.
         calls = self.count_calls(monkeypatch, np.linalg, "eigh")
+        spectra = self.count_calls(monkeypatch, np.linalg, "eigvalsh")
         config = layered_sweep("qaoa", model=model, n_data=3, n_ancilla=(3,),
                                layer_budget=1)
-        assert len(run_sweep(config)) == 2
+        rows = run_sweep(config)
+        assert len(rows) == 2
         assert len(calls) == 3
+        # Per growth record, rho's spectrum check where it is built and the
+        # fidelity's inner spectrum; per cell, the target's spectrum check.
+        records = sum(r.iteration_index + 1 for r in rows)
+        assert len(spectra) == 2 * records + len(rows)
 
     def test_baseline_sweep_builds_no_support_groups(self, cold_caches, monkeypatch):
         from gibbsprep import adapt

@@ -237,15 +237,14 @@ class TestMetrics:
             sigma = random_density(4, rng)
             assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) < 1e-9
 
-    def test_fidelity_rejects_negative_spectrum(self):
-        bad = DensityMatrix(np.diag([0.6, 0.3, 0.2, -0.1]))
-        good = DensityMatrix(np.eye(4) / 4)
-        with pytest.raises(ValueError):
-            fidelity(bad, good)
-        # A root that failed is not cached: every call checks sigma again.
-        for _ in range(3):
-            with pytest.raises(ValueError, match="below"):
-                fidelity(good, bad)
+    def test_fidelity_clamps_rounding_below_zero(self):
+        # An eigenvalue within the floor is rounding: the root clamps it to 0.
+        sigma = DensityMatrix(np.diag([0.6, 0.4 + 5e-10, -5e-10, 0.0]))
+        root = np.sqrt([0.6, 0.4 + 5e-10, 0.0, 0.0])
+        assert np.abs(sigma.sqrt - np.diag(root)).max() <= 1e-15
+        rho = DensityMatrix(np.diag([0.6, 0.4, 0.0, 0.0]))
+        assert abs(fidelity(rho, sigma) - 1.0) < 1e-9
+        assert abs(fidelity(sigma, sigma) - 1.0) < 1e-9
 
     def test_fidelity_with_cached_root_matches_eigh_reference(self, rng):
         """Each sigma serves several rho: all but the first call read its cached root."""
@@ -316,6 +315,11 @@ class TestInvariants:
             DensityMatrix(np.ones((2, 4)) / 2)
         with pytest.raises(ValueError, match="purity"):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    def test_density_refuses_negative_spectrum(self):
+        # Refused where it is built, so no consumer sees a non-state.
+        with pytest.raises(ValueError, match="eigenvalue -0.1.* below -1e-09"):
+            DensityMatrix(np.diag([0.6, 0.3, 0.2, -0.1]))
 
     def test_nan_fails_every_check(self):
         with pytest.raises(ValueError, match="state norm"):
