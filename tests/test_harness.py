@@ -664,7 +664,7 @@ class TestProcessCaches:
         assert len(calls) == 3
         # Per growth record, rho's spectrum check where it is built and the
         # fidelity's inner spectrum; per cell, the target's spectrum check.
-        records = sum(r.iteration_index + 1 for r in rows)
+        records = sum(r.iteration_index + 1 for r in rows)  # one restart per cell
         assert len(spectra) == 2 * records + len(rows)
 
     def test_baseline_sweep_builds_no_support_groups(self, cold_caches, monkeypatch):
