@@ -73,8 +73,6 @@ STALL_IMPROVEMENT = 1e-12
 STALL_LIMIT = 3
 MAX_VQE_ITERATIONS = 200
 MAX_QAOA_LAYERS = 6
-DEFAULT_VQE_RESTARTS = 5
-DEFAULT_QAOA_RESTARTS = 8
 
 ENTANGLER_LABEL = "ENTANGLER"
 

@@ -52,8 +52,6 @@ from typing import Iterator, get_type_hints
 import numpy as np
 
 from .adapt import (
-    DEFAULT_QAOA_RESTARTS,
-    DEFAULT_VQE_RESTARTS,
     GROWTH_RUNS,
     Ansatz,
     MAX_QAOA_LAYERS,
@@ -81,6 +79,8 @@ ALGORITHMS = tuple(GROWTH_RUNS)
 
 DEFAULT_VQE_BETA_INV_GRID = tuple(round(0.2 * k, 1) for k in range(1, 16))
 DEFAULT_QAOA_BETA_INV_GRID = (0.2, 0.6, 1.0, 1.2, 1.6, 2.0, 2.2, 2.6, 3.0)
+DEFAULT_VQE_RESTARTS = 5
+DEFAULT_QAOA_RESTARTS = 8
 
 CSV_SCHEMA_COMMENT = "# gibbsprep results schema v1"
 
@@ -115,11 +115,12 @@ class ExperimentConfig:
         validated, and refused, like any other value.
         """
         vqe = self.algorithm == "vqe"
-        if self.n_ancilla is None:
-            object.__setattr__(self, "n_ancilla", (self.n_data,))
-        if self.beta_inv_list is None:
-            grid = DEFAULT_VQE_BETA_INV_GRID if vqe else DEFAULT_QAOA_BETA_INV_GRID
-            object.__setattr__(self, "beta_inv_list", grid)
+        # Stored as tuples: a list and the equal tuple are one config, one hash.
+        n_ancilla = (self.n_data,) if self.n_ancilla is None else self.n_ancilla
+        object.__setattr__(self, "n_ancilla", tuple(n_ancilla))
+        grid = DEFAULT_VQE_BETA_INV_GRID if vqe else DEFAULT_QAOA_BETA_INV_GRID
+        beta_inv_list = grid if self.beta_inv_list is None else self.beta_inv_list
+        object.__setattr__(self, "beta_inv_list", tuple(beta_inv_list))
         if self.restarts is None:
             restarts = DEFAULT_VQE_RESTARTS if vqe else DEFAULT_QAOA_RESTARTS
             object.__setattr__(self, "restarts", restarts)
@@ -148,10 +149,9 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 <= self.layer_budget <= MAX_QAOA_LAYERS:
             raise ConfigError(f"layer_budget must be in [0, {MAX_QAOA_LAYERS}]")
-        if isinstance(self.truncation, int) and self.truncation < 0:
-            raise ConfigError("truncation order must be >= 0")
-        if isinstance(self.truncation, str) and self.truncation != "exact":
-            raise ConfigError(f"truncation must be 'exact' or an integer")
+        order = self.truncation
+        if order != "exact" and not (type(order) is int and order >= 0):  # no bool
+            raise ConfigError(f"truncation must be 'exact' or an int >= 0, got {order!r}")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
         if self.master_seed < 0:
@@ -360,8 +360,11 @@ def _run_cell(
 ) -> tuple[ResultRecord, list[dict]]:
     """Run all restarts of one (beta_inv, n_ancilla) cell and postselect.
 
-    Returns the cell's row and the trace payload of every restart that ran.
+    Serial sweeps and pool workers run this under any start method; it applies
+    the heap policy before its clock starts. Returns the cell's row and the
+    trace payload of every restart that ran.
     """
+    _keep_freed_heap_mapped()
     started = time.perf_counter()
     beta_inv = config.beta_inv_list[beta_index]
     beta = 1.0 / beta_inv
@@ -445,21 +448,15 @@ def _keep_freed_heap_mapped() -> None:
             raise OSError(f"mallopt({name}, {value}) failed")
 
 
-def _cell_job(args: tuple) -> tuple[ResultRecord, list[dict]]:
-    # One argument tuple per cell for map; _run_cell is looked up at call time.
-    # Serial sweeps and pool workers both run this, under any start method.
-    _keep_freed_heap_mapped()
-    return _run_cell(*args)
-
-
 def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     """Run the full cell grid; persist CSV rows and traces if ``out`` is set.
 
     Rows are written in deterministic grid order (ancilla-major, then
     temperature) with a flush after each row, so an interrupted sweep leaves
-    only whole rows behind. Worker processes only change wall-clock columns.
-    A cell whose ``(run_id, config_hash)`` is already in the CSV is refused
-    before any cell runs.
+    only whole rows behind. Each cell is one :func:`_run_cell` call, which
+    applies the heap policy first, here or in a worker under any start method;
+    workers only change wall-clock columns. A cell already in the CSV, by
+    ``(run_id, config_hash)``, is refused before any cell runs.
     """
     cells = [
         (config, beta_index, n_ancilla)
@@ -498,14 +495,14 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     executor = None
     try:
         if workers == 1:
-            results = map(_cell_job, cells)
+            results = map(_run_cell, *zip(*cells))
         else:
             # Imported here: concurrent.futures.process costs a serial run's
             # start-up ~20 ms.
             from concurrent.futures import ProcessPoolExecutor
 
             executor = ProcessPoolExecutor(max_workers=workers)
-            results = executor.map(_cell_job, cells)
+            results = executor.map(_run_cell, *zip(*cells))
         for record, trace_dicts in results:
             records.append(record)
             if writer is None:
@@ -537,11 +534,14 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
 def replay_state(trace: dict, n_data: int, n_ancilla: int) -> StateVector:
     """Rebuild the final state of a persisted trace bit-exactly.
 
-    A generator label that the register's pool lacks raises ``ValueError``.
+    A register unlike the trace's or a label its pool lacks raises ``ValueError``.
     """
     layered = trace["flavor"] != "vqe"
     if layered and n_ancilla != n_data:
         raise ValueError(f"a {trace['flavor']} trace needs n_ancilla == n_data")
+    sizes = (trace["metadata"]["n_data"], trace["metadata"]["n_ancilla"])
+    if (n_data, n_ancilla) != sizes:
+        raise ValueError(f"trace (n_data, n_ancilla) {sizes}, not {n_data, n_ancilla}")
     pool = {op.label: op for op in register_pool(n_data, n_ancilla, layered)}
     try:
         generators = [pool[label] for label in trace["generator_labels"]]

@@ -82,6 +82,15 @@ def _eigensystem(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def _periodic_chain(n_data: int, name: str, words: tuple[str, ...]) -> HermitianOperator:
+    """``-sum_i sum_w w_i w_{i+1}`` around a ring: terms per bond, then per word."""
+    if n_data < 2:
+        raise ValueError(f"{name} chain needs at least 2 sites")
+    bonds = [sorted((i, (i + 1) % n_data)) for i in range(n_data)]
+    terms = tuple((-1.0, PauliString(bond, word)) for bond in bonds for word in words)
+    return HermitianOperator(n_data, terms)
+
+
 def ising_hamiltonian(n_data: int) -> HermitianOperator:
     """Periodic Ising chain ``-sum_i Z_i Z_{i+1}`` on the data register.
 
@@ -89,25 +98,12 @@ def ising_hamiltonian(n_data: int) -> HermitianOperator:
     coefficient -1; at ``n_data = 2`` the wrap-around duplicates the single
     edge, so the dense matrix aggregates to ``-2 ZZ``.
     """
-    if n_data < 2:
-        raise ValueError("Ising chain needs at least 2 sites")
-    terms = []
-    for i in range(n_data):
-        a, b = sorted((i, (i + 1) % n_data))
-        terms.append((-1.0, PauliString((a, b), "ZZ")))
-    return HermitianOperator(n_data, tuple(terms))
+    return _periodic_chain(n_data, "Ising", ("ZZ",))
 
 
 def xy_hamiltonian(n_data: int) -> HermitianOperator:
     """Periodic XY chain ``-sum_i (X_i X_{i+1} + Y_i Y_{i+1})``."""
-    if n_data < 2:
-        raise ValueError("XY chain needs at least 2 sites")
-    terms = []
-    for i in range(n_data):
-        a, b = sorted((i, (i + 1) % n_data))
-        terms.append((-1.0, PauliString((a, b), "XX")))
-        terms.append((-1.0, PauliString((a, b), "YY")))
-    return HermitianOperator(n_data, tuple(terms))
+    return _periodic_chain(n_data, "XY", ("XX", "YY"))
 
 
 def entangling_hamiltonian(n_data: int) -> HermitianOperator:
@@ -177,11 +173,16 @@ class GibbsTarget:
         return self._density_matrix
 
 
-def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsTarget:
-    """Exact thermal state ``exp(-beta H) / Z`` with its spectrum cached."""
+def _thermal_eigensystem(hamiltonian: HermitianOperator, beta: float) -> tuple:
+    """The Hamiltonian's cached eigensystem, once ``beta`` is finite and >= 0."""
     if not np.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    values, vectors = hamiltonian.eigensystem
+    return hamiltonian.eigensystem
+
+
+def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsTarget:
+    """Exact thermal state ``exp(-beta H) / Z`` with its spectrum cached."""
+    values, vectors = _thermal_eigensystem(hamiltonian, beta)
     # Shift by the ground energy so the exponentials stay in range.
     weights = np.exp(-beta * (values - values[0]))
     return _spectral_target("exact", vectors, weights / weights.sum())
@@ -215,9 +216,7 @@ def truncated_target(
     """
     if m < 0:
         raise ValueError("truncation order must be >= 0")
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    values, vectors = hamiltonian.eigensystem
+    values, vectors = _thermal_eigensystem(hamiltonian, beta)
     series = _taylor_partial_sum(-beta * values, m)
     total = series.sum()
     if total <= 0:

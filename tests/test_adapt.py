@@ -28,8 +28,6 @@ from gibbsprep import (
     xy_hamiltonian,
 )
 from gibbsprep.adapt import (
-    DEFAULT_QAOA_RESTARTS,
-    DEFAULT_VQE_RESTARTS,
     ENTANGLER_LABEL,
     GROWTH_RUNS,
     MAX_QAOA_LAYERS,
@@ -50,6 +48,7 @@ from gibbsprep.adapt import (
     singlet_reference_state,
     vqe_reference_state,
 )
+from gibbsprep.harness import DEFAULT_QAOA_RESTARTS, DEFAULT_VQE_RESTARTS
 from gibbsprep.simcore import pauli_rotation
 
 from conftest import (
